@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-engine bench-lint obs-check resilience-check robust-check service-smoke loadtest-smoke chaos-smoke distributed-smoke lint lint-graph typecheck ruff check figures examples clean
+.PHONY: install test bench bench-engine bench-lint bench-smoke obs-check resilience-check robust-check service-smoke loadtest-smoke chaos-smoke distributed-smoke lint lint-graph typecheck ruff check figures examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -15,6 +15,11 @@ bench:
 
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/test_bench_engine.py --benchmark-only -s
+
+# One short run of every perfbench workload: Figure 8/9 and 10/11 paper
+# digests, every wrapped entry point, every metric printed with its unit.
+bench-smoke:
+	$(PYTHON) -m pytest perfbench/test_smoke.py -q
 
 # Tiny traced sweep, every record validated against the trace schema
 # (PYTHONPATH=src so it works from a bare checkout too).

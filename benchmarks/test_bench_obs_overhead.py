@@ -1,8 +1,8 @@
 """Guard: disabled instrumentation must stay out of the sweep's way.
 
-The decision tracer and profiler are permanently compiled into the hot
-paths (structure ``run()``, engine cells, manager decisions) and rely
-on cheap null objects when no tracer/profiler is active.  This
+The decision tracer is permanently compiled into the hot paths
+(structure ``run()``, engine cells, manager decisions) and relies on
+cheap null objects when no tracer is active.  This
 benchmark estimates the disabled-path cost on a Figure 9 sweep — the
 number of instrumentation points the sweep actually hits, times the
 measured cost of one disabled point — and asserts it stays under 5% of

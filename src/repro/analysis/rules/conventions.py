@@ -1,11 +1,7 @@
-"""Convention rules: exception discipline (RPR004, RPR005) and
-removed entry points (RPR007).
+"""Convention rules: exception discipline (RPR004, RPR005).
 
 The library's error contract is that everything it deliberately raises
-derives from :class:`repro.errors.ReproError`; the sweep/telemetry
-APIs unified behind the engine completed their deprecation cycle and
-now raise :class:`~repro.errors.RemovedApiError` — internal code must
-not reference them at all.
+derives from :class:`repro.errors.ReproError`.
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ from repro.analysis.core import (
     FileContext,
     Finding,
     Rule,
-    call_name,
     dotted_name,
 )
 from repro.analysis.registry import register
@@ -127,109 +122,4 @@ class TypedRaiseRule(Rule):
                     node,
                     f"raise of builtin `{terminal}` in {ctx.module}; use a "
                     "typed error from repro.errors",
-                )
-
-
-#: ``from <module> import <name>`` pairs that are removed.
-_REMOVED_IMPORTS = {
-    ("repro.engine.telemetry", "summarize"): (
-        "repro.obs.summarize.summarize_path"
-    ),
-    ("repro.experiments.queue_study", "sweep_for"): (
-        "repro.api.run_query (structure 'iqueue')"
-    ),
-}
-
-#: Classes whose ``.sweep`` method is removed (tracked via local
-#: ``x = Class(...)`` assignments).
-_REMOVED_SWEEP_CLASSES = frozenset(
-    {"CacheTpiModel", "TlbTpiModel", "BranchTpiModel"}
-)
-
-
-@register
-class RemovedEntryPointRule(Rule):
-    """RPR007: internal code must not reference removed entry points."""
-
-    rule_id = "RPR007"
-    title = "use of a removed entry point"
-    rationale = (
-        "The sweep/sweep_for/telemetry.summarize shims completed their "
-        "deprecation cycle and now raise RemovedApiError with a "
-        "migration hint. Referencing them can only fail at runtime; "
-        "the public query surface is repro.api (and repro.obs for "
-        "telemetry summaries)."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        tracked = self._model_bindings(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    replacement = _REMOVED_IMPORTS.get(
-                        (node.module, alias.name)
-                    )
-                    if replacement is not None:
-                        # Anchor at the alias so a one-name suppression
-                        # works inside a multi-line import.
-                        yield self.finding(
-                            ctx,
-                            alias,
-                            f"import of removed {node.module}.{alias.name}; "
-                            f"use {replacement}",
-                        )
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node, tracked)
-
-    @staticmethod
-    def _model_bindings(tree: ast.Module) -> dict[str, str]:
-        """Local names assigned from removed-sweep model constructors."""
-        bindings: dict[str, str] = {}
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
-            ):
-                cls = call_name(node.value)
-                if cls in _REMOVED_SWEEP_CLASSES:
-                    bindings[node.targets[0].id] = cls
-        return bindings
-
-    def _check_call(
-        self, ctx: FileContext, node: ast.Call, tracked: dict[str, str]
-    ) -> Iterator[Finding]:
-        name = call_name(node)
-        if name == "sweep_for":
-            yield self.finding(
-                ctx,
-                node,
-                "call to removed queue_study.sweep_for; use "
-                "repro.api.run_query (structure 'iqueue')",
-            )
-        elif name == "summarize" and isinstance(node.func, ast.Attribute):
-            receiver = dotted_name(node.func.value)
-            if receiver is not None and receiver.split(".")[-1] == "telemetry":
-                yield self.finding(
-                    ctx,
-                    node,
-                    "call to removed engine.telemetry.summarize; use "
-                    "repro.obs.summarize.summarize_path",
-                )
-        elif name == "sweep" and isinstance(node.func, ast.Attribute):
-            receiver = node.func.value
-            cls: str | None = None
-            if isinstance(receiver, ast.Name):
-                cls = tracked.get(receiver.id)
-            elif isinstance(receiver, ast.Call):
-                candidate = call_name(receiver)
-                if candidate in _REMOVED_SWEEP_CLASSES:
-                    cls = candidate
-            if cls is not None:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"call to removed {cls}.sweep; use repro.api.run_query "
-                    "or the model's sweep_breakdowns",
                 )

@@ -171,11 +171,11 @@ class WallClockRule(Rule):
     """RPR002: no wall-clock reads outside the observability layer."""
 
     rule_id = "RPR002"
-    title = "wall-clock read outside the obs/profile/telemetry allowlist"
+    title = "wall-clock read outside the observability allowlist"
     rationale = (
         "Simulated time is cycles and nanoseconds derived from the "
         "model, never the host clock. Wall time is only meaningful in "
-        "the observability layer (tracing, profiling, telemetry), "
+        "the observability layer (tracing, metrics, timings), "
         "which is allowlisted per path in [tool.repro.lint]."
     )
 

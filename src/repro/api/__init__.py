@@ -19,7 +19,7 @@ cache, resilience, observability — applies to API queries unchanged.
 This facade *replaces* the pre-engine per-structure sweep entry points
 (``CacheTpiModel.sweep``, ``TlbTpiModel.sweep``, ``BranchTpiModel.sweep``,
 ``queue_study.sweep_for``), which completed their deprecation cycle and
-now raise :class:`~repro.errors.RemovedApiError` naming this module.
+were deleted.
 """
 
 from repro.api.query import (

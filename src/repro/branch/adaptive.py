@@ -23,7 +23,6 @@ from repro.core.structure import (
 )
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
-from repro.obs.profile import profiled
 
 #: Nominal cleanup charged for the retraining transient, in cycles.
 RETRAIN_CLEANUP_CYCLES: int = 16
@@ -92,7 +91,7 @@ class AdaptiveBranchPredictor(ComplexityAdaptiveStructure[int]):
             "structure.run", level="structure",
             structure=self.name, configuration=self._current,
             n_events=len(pcs),
-        ), profiled(f"structure.run:{self.name}"):
+        ):
             predictor = make_predictor(kind, self._current)
             rate = predictor.run(pcs, taken)
         metrics().counter(

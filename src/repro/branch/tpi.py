@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.branch.predictors import PredictorKind, make_predictor
 from repro.branch.timing import BranchTimingModel
 from repro.branch.workloads import BRANCH_FRACTION, BranchProfile, generate_branch_trace
-from repro.errors import RemovedApiError, WorkloadError
+from repro.errors import WorkloadError
 
 #: Miss-free pipeline efficiency, as in the cache study.
 BASE_IPC: float = 2.67
@@ -83,22 +83,6 @@ class BranchTpiModel:
         return {
             s: self.evaluate(profile, s, n_branches) for s in self.timing.sizes
         }
-
-    def sweep(self, *args: object, **kwargs: object) -> dict[int, BranchBreakdown]:
-        """Removed alias of :meth:`sweep_breakdowns`.
-
-        .. deprecated:: 1.1
-        .. versionremoved:: 1.2
-            The deprecation cycle is complete.  Query through
-            :func:`repro.api.run_query` (the public surface), or call
-            :meth:`sweep_breakdowns` for the raw breakdowns.
-        """
-        raise RemovedApiError(
-            "BranchTpiModel.sweep was removed after its deprecation cycle; "
-            "query through repro.api.run_query(OptimizationRequest('bpred', "
-            "workload)) or call BranchTpiModel.sweep_breakdowns for raw "
-            "breakdowns"
-        )
 
     def best_size(
         self, profile: BranchProfile, n_branches: int = 20_000

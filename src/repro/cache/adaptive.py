@@ -33,7 +33,6 @@ from repro.core.structure import (
 )
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
-from repro.obs.profile import profiled
 
 
 class AdaptiveCacheHierarchy(ComplexityAdaptiveStructure[int]):
@@ -107,7 +106,7 @@ class AdaptiveCacheHierarchy(ComplexityAdaptiveStructure[int]):
             "structure.run", level="structure",
             structure=self.name, configuration=self.configuration,
             n_events=len(addresses),
-        ), profiled(f"structure.run:{self.name}"):
+        ):
             levels = self._cache.run(addresses)
         metrics().counter(
             "repro_structure_runs_total", "adaptive-structure run() calls"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.cache.stackdist import DepthHistogram
 from repro.cache.timing import CacheTimingModel
-from repro.errors import RemovedApiError, WorkloadError
+from repro.errors import WorkloadError
 
 #: Base pipeline efficiency of the 4-way issue processor (paper Sec 5.1).
 BASE_IPC: float = 2.67
@@ -119,22 +119,6 @@ class CacheTpiModel:
         return {
             k: self.evaluate(histogram, load_store_fraction, k) for k in boundaries
         }
-
-    def sweep(self, *args: object, **kwargs: object) -> dict[int, TpiBreakdown]:
-        """Removed alias of :meth:`sweep_breakdowns`.
-
-        .. deprecated:: 1.1
-        .. versionremoved:: 1.2
-            The deprecation cycle is complete.  Query through
-            :func:`repro.api.run_query` (the public surface), or call
-            :meth:`sweep_breakdowns` for the raw breakdowns.
-        """
-        raise RemovedApiError(
-            "CacheTpiModel.sweep was removed after its deprecation cycle; "
-            "query through repro.api.run_query(OptimizationRequest('dcache', "
-            "workload)) or call CacheTpiModel.sweep_breakdowns for raw "
-            "breakdowns"
-        )
 
     def best_boundary(
         self,

@@ -21,8 +21,7 @@ The public query API (see docs/service.md)::
 Every ``figure``/``ablation``/``extension`` run goes through the
 experiment engine and accepts its knobs::
 
-    python -m repro figure 9 --jobs 8 --cache-dir .repro-cache \\
-        --telemetry run.jsonl
+    python -m repro figure 9 --jobs 8 --cache-dir .repro-cache
     python -m repro cache-clear --cache-dir .repro-cache
 
 Observability (see docs/observability.md)::
@@ -45,11 +44,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from repro.engine.cells import cell_kinds
 from repro.engine.engine import ExperimentEngine
 from repro.experiments.reporting import format_series, format_table
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +334,10 @@ def _power() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _engine_options() -> argparse.ArgumentParser:
-    """Shared ``--jobs``/``--cache-dir``/``--no-cache``/``--telemetry``
-    options for every subcommand that runs experiments."""
+def _engine_options(run_sinks: bool = True) -> argparse.ArgumentParser:
+    """Shared engine, resilience and observability options for every
+    subcommand that runs experiments.  ``run_sinks`` adds ``--metrics``
+    and ``--profile``, which only one-shot commands honour."""
     opts = argparse.ArgumentParser(add_help=False)
     group = opts.add_argument_group("engine options")
     group.add_argument(
@@ -349,11 +351,6 @@ def _engine_options() -> argparse.ArgumentParser:
     group.add_argument(
         "--no-cache", action="store_true",
         help="bypass the result cache even if --cache-dir is set",
-    )
-    group.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="write per-cell run telemetry as JSONL to PATH (legacy format; "
-        "--trace supersedes it)",
     )
     group.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",
@@ -386,15 +383,17 @@ def _engine_options() -> argparse.ArgumentParser:
         "--trace", default=None, metavar="PATH",
         help="write a structured span/event decision trace as JSONL to PATH",
     )
-    obs_group.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="write a Prometheus text snapshot of the metrics registry to PATH",
-    )
-    obs_group.add_argument(
-        "--profile", action="store_true",
-        help="print a wall-time profile (per evaluator kind, per structure) "
-        "to stderr after the run",
-    )
+    if run_sinks:
+        obs_group.add_argument(
+            "--metrics", default=None, metavar="PATH",
+            help="write a Prometheus text snapshot of the metrics registry "
+            "to PATH",
+        )
+        obs_group.add_argument(
+            "--profile", action="store_true",
+            help="print a wall-time profile (engine runs, per evaluator "
+            "kind, per structure) to stderr after the run",
+        )
     return opts
 
 
@@ -416,7 +415,6 @@ def _engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        telemetry=args.telemetry,
         chunk_size=args.chunk_size,
         retry=retry,
         journal=args.journal,
@@ -424,47 +422,46 @@ def _engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
     )
 
 
-def _print_telemetry_summary(path: str) -> None:
-    from repro.obs.summarize import summarize_path
-
-    print(summarize_path(path), file=sys.stderr)
-
-
 def _run_observed(
-    args: argparse.Namespace, span_name: str, runner: Callable[[], None],
+    args: argparse.Namespace, span_name: str, runner: Callable[[], T],
     **span_attrs,
-) -> None:
+) -> T:
     """Run one command under the requested observability sinks.
 
     ``--trace`` activates a tracer (the whole command becomes one
-    ``run``-level span), ``--profile`` activates a wall-time profiler
-    (report on stderr), and ``--metrics`` snapshots the process-wide
-    registry to a Prometheus text file after the run.
+    ``run``-level span), ``--profile`` prints a wall-time table built
+    from the trace's records to stderr (an in-memory tracer stands in
+    when no ``--trace`` file is given), and ``--metrics`` snapshots the
+    process-wide registry to a Prometheus text file after the run.
     """
     from contextlib import ExitStack
 
     from repro.obs import metrics
-    from repro.obs.profile import profiling
+    from repro.obs.summarize import profile_report
     from repro.obs.trace import Tracer, span
 
-    profiler = None
+    tracer = None
     with ExitStack() as stack:
-        if args.trace:
-            stack.enter_context(Tracer(args.trace))
-        if args.profile:
-            profiler = stack.enter_context(profiling())
+        if args.trace or args.profile:
+            tracer = stack.enter_context(Tracer(args.trace))
         with span(span_name, level="run", **span_attrs):
-            runner()
+            result = runner()
     if args.metrics:
         metrics().write_prometheus(args.metrics)
-    if profiler is not None:
-        print(profiler.report(), file=sys.stderr)
+    if tracer is not None and args.profile:
+        print(profile_report(tracer.records), file=sys.stderr)
+    return result
 
 
 def _obs_summarize(path: str) -> int:
+    from repro.errors import ObservabilityError
     from repro.obs.summarize import summarize_path
 
-    print(summarize_path(path))
+    try:
+        print(summarize_path(path))
+    except ObservabilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -924,7 +921,7 @@ def _query(args, engine: ExperimentEngine) -> int:
     from repro.api import OptimizationRequest, run_query
     from repro.errors import ReproError
 
-    try:
+    def ask():
         request = OptimizationRequest(
             args.structure,
             args.workload,
@@ -934,12 +931,17 @@ def _query(args, engine: ExperimentEngine) -> int:
         if args.url:
             from repro.service.client import ServiceClient
 
-            result = ServiceClient(args.url).optimize(request)
-        else:
-            result = run_query(request, engine=engine)
+            return ServiceClient(args.url).optimize(request)
+        return run_query(request, engine=engine)
+
+    try:
+        result = _run_observed(
+            args, "query", ask, structure=args.structure, workload=args.workload
+        )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    request = result.request
     if args.json:
         print(result.to_json())
         return 0
@@ -963,6 +965,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Complexity-Adaptive Processors: regenerate the paper.",
     )
     engine_opts = _engine_options()
+    # Long-running commands honour --trace only: no end-of-run snapshot.
+    service_opts = _engine_options(run_sinks=False)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("figures", help="list regenerable figures")
     fig = sub.add_parser(
@@ -995,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = obsp.add_subparsers(dest="obs_command", required=True)
     osum = obs_sub.add_parser(
         "summarize",
-        help="render a trace file (or legacy telemetry log) human-readable",
+        help="render a trace file human-readable",
     )
     osum.add_argument("path", help="JSONL trace file written via --trace")
     ocp = obs_sub.add_parser(
@@ -1065,7 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the multi-tenant TPI-optimization sweep service "
              "(POST /v1/optimize, GET /v1/jobs/{id}, GET /metrics)",
-        parents=[engine_opts],
+        parents=[service_opts],
     )
     servep.add_argument(
         "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
@@ -1171,7 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loadtest",
         help="drive a deterministic multi-tenant load mix at a sweep "
              "service, judge latency SLOs, append to BENCH_service.json",
-        parents=[engine_opts],
+        parents=[service_opts],
     )
     loadp.add_argument(
         "--url", default=None, metavar="URL",
@@ -1315,8 +1319,6 @@ def _dispatch(args) -> int:
         _run_observed(
             args, "figure", lambda: _FIGURES[args.id](engine), figure=args.id
         )
-        if args.telemetry:
-            _print_telemetry_summary(args.telemetry)
     elif args.command == "ablations":
         print("ablations:", ", ".join(_ABLATIONS))
     elif args.command == "ablation":
@@ -1325,8 +1327,6 @@ def _dispatch(args) -> int:
             args, "ablation", lambda: _ablation(args.name, engine),
             ablation=args.name,
         )
-        if args.telemetry:
-            _print_telemetry_summary(args.telemetry)
     elif args.command == "extensions":
         print("extensions:", ", ".join(_EXTENSIONS))
     elif args.command == "extension":
@@ -1335,8 +1335,6 @@ def _dispatch(args) -> int:
             args, "extension", lambda: _extension(args.name, engine),
             extension=args.name,
         )
-        if args.telemetry:
-            _print_telemetry_summary(args.telemetry)
     elif args.command == "obs":
         if args.obs_command == "summarize":
             return _obs_summarize(args.path)
@@ -1350,8 +1348,6 @@ def _dispatch(args) -> int:
     elif args.command == "degrade":
         engine = _engine_from_args(args)
         _run_observed(args, "degrade", lambda: _degrade(args, engine))
-        if args.telemetry:
-            _print_telemetry_summary(args.telemetry)
     elif args.command == "robust":
         return _robust_check()
     elif args.command == "serve":

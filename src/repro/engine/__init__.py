@@ -3,7 +3,8 @@
 The sweep layer every figure harness runs on: sweep **cells** (one
 workload x configuration-range evaluation) are fanned out over a
 process pool with deterministic chunking and ordered assembly, backed
-by a content-addressed on-disk result cache and a JSONL telemetry log.
+by a content-addressed on-disk result cache; each run is traced as one
+``engine.map`` span (see :mod:`repro.obs`).
 
 Layers
 ------
@@ -13,9 +14,6 @@ Layers
 :mod:`repro.engine.cache`
     Content-addressed JSON result cache (key = technology fingerprint
     + structure configuration + workload spec).
-:mod:`repro.engine.telemetry`
-    Structured JSONL event log (per-cell wall time, cache hit/miss
-    counters, worker utilization) plus a human-readable summary.
 :mod:`repro.engine.engine`
     :class:`ExperimentEngine` itself.
 :mod:`repro.engine.sweeps`
@@ -44,12 +42,6 @@ from repro.engine.sweeps import (
     TlbStructureSweep,
     all_structure_sweeps,
 )
-from repro.engine.telemetry import (
-    EVENT_SCHEMA,
-    TelemetryLog,
-    read_events,
-    validate_events,
-)
 
 __all__ = [
     "ExperimentEngine",
@@ -63,10 +55,6 @@ __all__ = [
     "cell_key",
     "payload_checksum",
     "technology_fingerprint",
-    "TelemetryLog",
-    "EVENT_SCHEMA",
-    "read_events",
-    "validate_events",
     "CacheStructureSweep",
     "QueueStructureSweep",
     "TlbStructureSweep",

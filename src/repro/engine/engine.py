@@ -21,11 +21,11 @@ layers, in order:
    a ``jobs=N`` run — faulted or not.
 
 ``jobs=1`` short-circuits the pool entirely and evaluates inline, which
-is also the fallback while debugging worker-side failures.  Telemetry
-(one JSONL event per cell plus run bracketing) and hit/miss counters are
-recorded on every run; see :mod:`repro.engine.telemetry`.  Failure
-semantics, the fault taxonomy, and the checkpoint/resume workflow are
-documented in ``docs/resilience.md``.
+is also the fallback while debugging worker-side failures.  Hit/miss
+counters are kept on every run; under an active tracer each run is one
+``engine.map`` span with one ``engine.cell`` event per cell (see
+``docs/observability.md``).  Failure semantics, the fault taxonomy, and
+the checkpoint/resume workflow are documented in ``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.engine.cache import ResultCache
 from repro.engine.cells import SweepCell
-from repro.engine.telemetry import TelemetryLog, new_run_id
 from repro.errors import EngineError
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
-from repro.obs.profile import add_sample, profiled
 from repro.obs.stitch import TraceContext, stitch_shards
 from repro.resilience.executor import ResilientExecutor
 from repro.resilience.faults import FaultPlan, corrupt_cache_entry
@@ -86,7 +84,7 @@ class EngineStats:
 
 @dataclass
 class ExperimentEngine:
-    """Runs sweep cells with optional parallelism, caching and telemetry.
+    """Runs sweep cells with optional parallelism and caching.
 
     Parameters
     ----------
@@ -98,9 +96,6 @@ class ExperimentEngine:
     use_cache:
         ``False`` (the CLI's ``--no-cache``) keeps the directory
         configured but neither reads nor writes it.
-    telemetry:
-        Path of the JSONL event log; ``None`` disables persistence
-        (counters in :attr:`stats` are kept either way).
     chunk_size:
         Cells per worker chunk; ``None`` (the default) uses the
         ``ceil(n / (jobs * 4))`` load-balancing heuristic.
@@ -128,7 +123,6 @@ class ExperimentEngine:
     jobs: int = 1
     cache_dir: str | Path | None = None
     use_cache: bool = True
-    telemetry: str | Path | None = None
     chunk_size: int | None = None
     retry: RetryPolicy | None = None
     fault_plan: FaultPlan | None = None
@@ -179,7 +173,6 @@ class ExperimentEngine:
             if self.journal is not None
             else None
         )
-        self._telemetry = TelemetryLog(self.telemetry)
 
     # -- cache passthrough ------------------------------------------------
 
@@ -217,31 +210,17 @@ class ExperimentEngine:
         there the deadline is only enforced by the caller afterwards.
         """
         cells = list(cells)
-        run_id = new_run_id()
         with obs.span(
             "engine.map", level="engine",
-            run_id=run_id, jobs=self.jobs, n_cells=len(cells),
+            jobs=self.jobs, n_cells=len(cells),
             cache_enabled=self._cache is not None,
-        ) as span, profiled("engine.map"):
-            return self._map_traced(cells, run_id, span, deadline_s)
+        ) as span:
+            return self._map_traced(cells, span, deadline_s)
 
     def _map_traced(
-        self,
-        cells: list[SweepCell],
-        run_id: str,
-        span,
-        deadline_s: float | None = None,
+        self, cells: list[SweepCell], span, deadline_s: float | None = None
     ) -> list[dict]:
         start = time.perf_counter()
-        self._telemetry.emit(
-            "run_start",
-            run_id=run_id,
-            jobs=self.jobs,
-            n_cells=len(cells),
-            cache_enabled=self._cache is not None,
-            cache_dir=str(self.cache_dir) if self.cache_dir is not None else None,
-        )
-
         self._apply_cache_corruption_faults(cells)
 
         payloads: list[dict | None] = [None] * len(cells)
@@ -291,37 +270,12 @@ class ExperimentEngine:
             "repro_engine_cell_wall_seconds", "wall time per evaluated sweep cell"
         )
         for i, cell in enumerate(cells):
-            self._telemetry.emit(
-                "cell",
-                run_id=run_id,
-                index=i,
-                kind=cell.kind,
-                key=keys[i],
-                source=sources[i],
-                wall_s=walls[i],
-            )
             span.event(
                 "engine.cell",
                 index=i, kind=cell.kind, key=keys[i],
                 source=sources[i], wall_s=walls[i],
             )
             wall_hist.observe(walls[i], kind=cell.kind, source=sources[i])
-            if sources[i] == "computed":
-                add_sample(f"evaluator:{cell.kind}", walls[i])
-        self._telemetry.emit(
-            "run_end",
-            run_id=run_id,
-            jobs=self.jobs,
-            n_cells=len(cells),
-            cache_hits=n_hits,
-            cache_misses=len(misses),
-            resumed=n_resumed,
-            elapsed_s=elapsed,
-            busy_s=busy,
-            worker_utilization=(
-                busy / (elapsed * self.jobs) if elapsed > 0 else 0.0
-            ),
-        )
         self.stats.merge_run(n_hits, len(misses), n_resumed, elapsed, busy)
         reg = metrics()
         reg.counter("repro_engine_runs_total", "engine map() batches").inc()
@@ -464,7 +418,7 @@ _DEFAULT_ENGINE: ExperimentEngine | None = None
 def default_engine() -> ExperimentEngine:
     """The shared serial engine harnesses fall back to.
 
-    No cache, no telemetry, no pool — exactly the pre-engine behaviour,
+    No cache, no journal, no pool — exactly the pre-engine behaviour,
     which keeps every harness's default results and signatures stable.
     """
     global _DEFAULT_ENGINE

@@ -70,9 +70,9 @@ class ObservabilityError(ReproError):
 class EngineError(ReproError):
     """The experiment engine was misused or met a corrupt artefact.
 
-    Raised, for example, for an unregistered sweep-cell kind, a
-    malformed telemetry event, or an unreadable cache entry that cannot
-    be safely ignored.
+    Raised, for example, for an unregistered sweep-cell kind, invalid
+    engine options, or an unreadable cache entry that cannot be safely
+    ignored.
     """
 
 
@@ -140,17 +140,6 @@ class ApiError(ReproError):
     unknown or ill-typed request field, or a document that does not
     deserialise into a request/result type.  The service layer maps
     this to an HTTP 400.
-    """
-
-
-class RemovedApiError(ReproError):
-    """A removed entry point was called.
-
-    The pre-engine sweep APIs (``CacheTpiModel.sweep``,
-    ``TlbTpiModel.sweep``, ``BranchTpiModel.sweep``,
-    ``queue_study.sweep_for``) and ``engine.telemetry.summarize`` went
-    through a ``DeprecationWarning`` cycle and are now hard errors.
-    The message names the replacement; see :mod:`repro.api`.
     """
 
 

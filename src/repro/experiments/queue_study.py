@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.metrics import TpiComparison
-from repro.errors import RemovedApiError
 from repro.engine.cells import queue_tpi_cell
 from repro.engine.engine import ExperimentEngine, default_engine
 from repro.ooo.machine import MachineResult, run_window_sweep
@@ -47,21 +46,6 @@ def _machine_sweep(
     results = run_window_sweep(trace, sizes)
     _SWEEP_CACHE[key] = results
     return results
-
-
-def sweep_for(*args: object, **kwargs: object) -> dict[int, MachineResult]:
-    """Removed alias of the internal machine sweep.
-
-    .. deprecated:: 1.1
-    .. versionremoved:: 1.2
-        The deprecation cycle is complete.  Query through
-        :func:`repro.api.run_query` with an ``iqueue`` request.
-    """
-    raise RemovedApiError(
-        "queue_study.sweep_for was removed after its deprecation cycle; "
-        "query through repro.api.run_query(OptimizationRequest('iqueue', "
-        "workload))"
-    )
 
 
 def queue_tpi_table(

@@ -2,27 +2,26 @@
 
 The paper's Configuration Manager claims to pick the TPI-minimising
 configuration per process or per interval; this package makes that
-decision process *visible*.  Three cooperating, zero-dependency layers:
+decision process *visible*.  Two cooperating, zero-dependency layers:
 
 * :mod:`repro.obs.trace` — a :class:`Tracer` emitting structured,
   schema-validated span/event records as JSONL.  Spans nest naturally:
   run → interval → candidate-evaluation → reconfiguration, mirroring
-  the levels at which the adaptive stack makes decisions.
+  the levels at which the adaptive stack makes decisions.  The trace
+  is the one event stream: engine runs (``engine.map`` spans with one
+  ``engine.cell`` event per cell), structure runs and service requests
+  all land in it, and :mod:`repro.obs.summarize` renders it — including
+  the ``--profile`` wall-time table.
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
   of counters, gauges and histograms (reconfigurations, per-interval
   TPI, cache-hit ratios, exploration vs. exploitation steps...) with
   snapshot/diff support and Prometheus text export.
-* :mod:`repro.obs.profile` — lightweight wall-time profiling hooks
-  attached via context managers; a strict no-op unless a profiler is
-  activated.
 
 Instrumented code never checks whether observability is on: the
 module-level :func:`~repro.obs.trace.span` / :func:`~repro.obs.trace.event`
-helpers dispatch to a null tracer when no real tracer is active, and
-:func:`~repro.obs.profile.profiled` returns a shared no-op context
-manager when no profiler is active, so the disabled path costs a few
-dictionary operations and nothing else — results are byte-identical
-with instrumentation on or off.
+helpers dispatch to a null tracer when no real tracer is active, so the
+disabled path costs a few attribute lookups and nothing else — results
+are byte-identical with instrumentation on or off.
 
 See ``docs/observability.md`` for the trace schema, the metrics
 catalog, and CLI usage (``--trace`` / ``--metrics`` / ``--profile`` and
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 from repro.obs.critical import critical_path
 from repro.obs.metrics import MetricsRegistry, metrics
-from repro.obs.profile import Profiler, profiled, profiling
 from repro.obs.schema import (
     SPAN_LEVELS,
     read_records,
@@ -54,7 +52,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "MetricsRegistry",
-    "Profiler",
     "SPAN_LEVELS",
     "TraceContext",
     "Tracer",
@@ -63,8 +60,6 @@ __all__ = [
     "event",
     "metrics",
     "new_trace_id",
-    "profiled",
-    "profiling",
     "read_records",
     "scoped_trace",
     "span",

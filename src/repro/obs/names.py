@@ -36,6 +36,7 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "ablation",
         "extension",
         "degrade",
+        "query",
         "obs_check",
         # Adaptive-control hierarchy (run -> interval -> candidate ->
         # reconfigure), as in the paper's Configuration Manager.
@@ -54,11 +55,15 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "cell.evaluate",
         "structure.run",
         # Sweep service request path: one ``service.request`` per HTTP
-        # request; ``service.queue_wait`` covers submit-to-batch-start;
-        # ``broker.batch`` covers one flushed engine batch.
+        # request; ``service.admit`` covers parsing and admission,
+        # ``service.queue_wait`` submit-to-batch-start, ``broker.batch``
+        # one flushed engine batch, and ``service.respond`` answer-ready
+        # to encoded response.
         "service.request",
+        "service.admit",
         "service.queue_wait",
         "broker.batch",
+        "service.respond",
         # Distributed worker plane: one ``worker.evaluate`` per leased
         # chunk, written by a remote ``repro worker`` process into a
         # span shard and stitched cross-host (repro.obs.stitch).

@@ -9,21 +9,20 @@
 * **interval TPI timeline** — the per-interval TPI the monitoring
   hardware observed, in order;
 * **candidate evaluations** — how many configurations were scored;
+* **engine runs** — one line per ``engine.map`` span: cells, cache hits
+  and misses, elapsed and busy time, worker utilization;
 * **hottest evaluators** — wall time per engine cell kind and per
   structure ``run()``.
 
-:func:`summarize_path` sniffs the file format first, so it also accepts
-the legacy engine telemetry logs (``run_start``/``cell``/``run_end``
-events) that predate the tracer; those get the old one-line-per-run
-digest, now tolerant of events with missing optional fields.
+:func:`profile_report` renders just the last two sections: it is the
+wall-time table ``--profile`` prints.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from repro.errors import ObservabilityError
 from repro.obs.schema import read_records, validate_trace
 
 #: Most intervals shown individually in the timeline before eliding.
@@ -34,31 +33,6 @@ def _fmt(value: Any, spec: str = "") -> str:
     if isinstance(value, (int, float)):
         return format(value, spec)
     return "?"
-
-
-def summarize_engine_events(events: Iterable[Mapping[str, Any]]) -> str:
-    """Digest of a legacy engine telemetry log, one line per run.
-
-    Tolerates events missing optional fields — a truncated or
-    hand-edited log renders with ``?`` placeholders instead of raising.
-    """
-    lines = []
-    for record in events:
-        if record.get("event") != "run_end":
-            continue
-        util = record.get("worker_utilization")
-        lines.append(
-            f"run {record.get('run_id', '?')}: {_fmt(record.get('n_cells'))} cells "
-            f"({_fmt(record.get('cache_hits'))} cached, "
-            f"{_fmt(record.get('cache_misses'))} computed) "
-            f"in {_fmt(record.get('elapsed_s'), '.3f')}s "
-            f"on {_fmt(record.get('jobs'))} job(s), "
-            f"busy {_fmt(record.get('busy_s'), '.3f')}s, "
-            f"utilization {_fmt(util, '.0%') if util is not None else '?'}"
-        )
-    if not lines:
-        return "no completed runs"
-    return "\n".join(lines)
 
 
 def _timeline(intervals: Sequence[Mapping[str, Any]]) -> list[str]:
@@ -187,7 +161,41 @@ def _trace_body(
             + ")"
         )
 
-    # -- hottest evaluators ----------------------------------------------
+    out.extend(_engine_runs(spans))
+    out.extend(_hottest(spans, events))
+    return out
+
+
+def _engine_runs(spans: Sequence[Mapping[str, Any]]) -> list[str]:
+    """One line per ``engine.map`` span; a run that raised before its
+    counters were set renders ``?`` for them."""
+    runs = [s for s in spans if s["name"] == "engine.map"]
+    if not runs:
+        return []
+    out = ["", f"engine runs: {len(runs)}"]
+    for s in runs:
+        attrs = s["attrs"]
+        elapsed, busy, jobs = (
+            attrs.get("elapsed_s"), attrs.get("busy_s"), attrs.get("jobs")
+        )
+        try:
+            util = busy / (elapsed * jobs)
+        except (TypeError, ZeroDivisionError):
+            util = None
+        out.append(
+            f"  engine.map {s['id']}: {_fmt(attrs.get('n_cells'))} cells "
+            f"({_fmt(attrs.get('cache_hits'))} cached, "
+            f"{_fmt(attrs.get('cache_misses'))} computed) "
+            f"in {_fmt(elapsed, '.3f')}s on {_fmt(jobs)} job(s), "
+            f"busy {_fmt(busy, '.3f')}s, utilization {_fmt(util, '.0%')}"
+        )
+    return out
+
+
+def _hottest(
+    spans: Sequence[Mapping[str, Any]], events: Sequence[Mapping[str, Any]]
+) -> list[str]:
+    """Wall time per engine cell kind and per structure ``run()``."""
     hot: dict[str, list[float]] = {}
     for e in events:
         if e["name"] != "engine.cell":
@@ -204,27 +212,28 @@ def _trace_body(
         entry = hot.setdefault(key, [0.0, 0.0])
         entry[0] += 1
         entry[1] += s["dur_s"]
-    if hot:
-        out.append("")
-        out.append("hottest evaluators:")
-        for key, (count, total) in sorted(
-            hot.items(), key=lambda kv: -kv[1][1]
-        )[:10]:
-            out.append(f"  {key}: {total:.4f}s over {int(count)} run(s)")
-
+    if not hot:
+        return []
+    out = ["", "hottest evaluators:"]
+    for key, (count, total) in sorted(hot.items(), key=lambda kv: -kv[1][1])[:10]:
+        out.append(f"  {key}: {total:.4f}s over {int(count)} run(s)")
     return out
 
 
+def profile_report(records: Sequence[Mapping[str, Any]]) -> str:
+    """The ``--profile`` table: engine runs and hottest evaluators."""
+    spans = [r for r in records if r["record"] == "span"]
+    events = [r for r in records if r["record"] == "event"]
+    lines = _engine_runs(spans) + _hottest(spans, events)
+    if not lines:
+        return "profile: no sections recorded"
+    return "\n".join(["profile: wall time per section"] + lines)
+
+
 def summarize_path(path: str | Path) -> str:
-    """Summarize a JSONL file, sniffing trace vs. legacy telemetry format."""
+    """Summarize a JSONL trace file; anything else raises
+    :class:`~repro.errors.ObservabilityError`."""
     records = read_records(path)
     if not records:
         return "empty trace"
-    if "record" in records[0]:
-        return summarize_trace(records)
-    if "event" in records[0]:
-        return summarize_engine_events(records)
-    raise ObservabilityError(
-        f"{path}: neither a trace (record=...) nor an engine telemetry "
-        f"(event=...) file"
-    )
+    return summarize_trace(records)

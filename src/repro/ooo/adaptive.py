@@ -21,7 +21,6 @@ from repro.core.structure import (
 )
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
-from repro.obs.profile import profiled
 from repro.ooo.machine import MachineConfig, OutOfOrderMachine
 from repro.ooo.queue import InstructionQueue
 from repro.ooo.timing import PAPER_QUEUE_SIZES, QueueTimingModel
@@ -110,7 +109,7 @@ class AdaptiveInstructionQueue(ComplexityAdaptiveStructure[int]):
             "structure.run", level="structure",
             structure=self.name, configuration=self.configuration,
             n_events=len(trace),
-        ), profiled(f"structure.run:{self.name}"):
+        ):
             result = machine.run(trace, memory_system=memory_system)
         metrics().counter(
             "repro_structure_runs_total", "adaptive-structure run() calls"

@@ -282,7 +282,7 @@ class SweepService:
             "repro_service_http_requests_total", "HTTP requests received"
         ).inc(method=method, path=_route_label(split.path))
         response = await self._route(
-            method, split.path, query, body, trace,
+            method, split.path, query, body, trace, ts,
             idempotency_key=idempotency_key, deadline_raw=deadline_raw,
         )
         return self._finish(response, method, split.path, trace, ts, started)
@@ -324,6 +324,7 @@ class SweepService:
         query: dict,
         body: bytes,
         trace: TraceContext,
+        received_ts: float,
         idempotency_key: str | None = None,
         deadline_raw: str | None = None,
     ) -> tuple[int, dict, bytes]:
@@ -338,7 +339,7 @@ class SweepService:
             )
         if path == "/v1/optimize" and method == "POST":
             return await self._optimize(
-                query, body, trace,
+                query, body, trace, received_ts,
                 idempotency_key=idempotency_key, deadline_raw=deadline_raw,
             )
         if path.startswith("/v1/jobs/") and method == "GET":
@@ -419,6 +420,7 @@ class SweepService:
         query: dict,
         body: bytes,
         trace: TraceContext,
+        received_ts: float,
         idempotency_key: str | None = None,
         deadline_raw: str | None = None,
     ) -> tuple[int, dict, bytes]:
@@ -464,16 +466,41 @@ class SweepService:
             )
         except ServiceError as exc:
             return _json_response(503, {"error": str(exc)})
+        admitted_ts = time.time()
         wait = query.get("wait", ["0"])[-1] not in ("0", "", "false")
         if wait and not job.done.is_set():
             try:
                 await self.broker.wait(job, timeout=self.config.wait_timeout_s)
             except asyncio.TimeoutError:
                 pass  # return the still-running status; client may poll
+        answered_ts = time.time()
+        if job.finished is not None:
+            # The answer exists from the job's finish (monotonic -> wall).
+            answered_ts = max(
+                admitted_ts, job.created_wall + (job.finished - job.created)
+            )
         if job.done.is_set() and job.deadline_hit:
-            return _json_response(504, job.status().to_dict())
-        status_code = 200 if job.done.is_set() else 202
-        return _json_response(status_code, job.status().to_dict())
+            status_code = 504
+        else:
+            status_code = 200 if job.done.is_set() else 202
+        response = _json_response(status_code, job.status().to_dict())
+        tracer = obs.current_tracer()
+        if tracer.enabled:
+            # The request's own work either side of the broker, as
+            # siblings of service.queue_wait / broker.batch: parsing and
+            # admission, then answer-ready to encoded response.
+            for name, start, end in (
+                ("service.admit", received_ts, admitted_ts),
+                ("service.respond", answered_ts, time.time()),
+            ):
+                tracer.record_span(
+                    name,
+                    trace_id=trace.trace_id,
+                    parent=trace.parent_id,
+                    ts=start,
+                    dur_s=max(0.0, end - start),
+                )
+        return response
 
     def _job_status(self, job_id: str) -> tuple[int, dict, bytes]:
         try:

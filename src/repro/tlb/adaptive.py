@@ -19,7 +19,6 @@ from repro.core.structure import (
 )
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
-from repro.obs.profile import profiled
 from repro.tlb.simulator import PageStackEngine, TlbDepthHistogram
 from repro.tlb.timing import TlbTimingModel
 
@@ -82,7 +81,7 @@ class AdaptiveTlb(ComplexityAdaptiveStructure[int]):
             "structure.run", level="structure",
             structure=self.name, configuration=self._current,
             n_events=len(addresses),
-        ), profiled(f"structure.run:{self.name}"):
+        ):
             engine = PageStackEngine(self.timing.total_entries)
             depths = engine.process(addresses)
             hist = TlbDepthHistogram.from_depths(self.timing.total_entries, depths)

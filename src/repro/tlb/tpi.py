@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import RemovedApiError, WorkloadError
+from repro.errors import WorkloadError
 from repro.tlb.simulator import TlbDepthHistogram
 from repro.tlb.timing import TlbTimingModel
 
@@ -91,22 +91,6 @@ class TlbTpiModel:
             f: self.evaluate(histogram, load_store_fraction, f)
             for f in self.timing.boundaries()
         }
-
-    def sweep(self, *args: object, **kwargs: object) -> dict[int, TlbBreakdown]:
-        """Removed alias of :meth:`sweep_breakdowns`.
-
-        .. deprecated:: 1.1
-        .. versionremoved:: 1.2
-            The deprecation cycle is complete.  Query through
-            :func:`repro.api.run_query` (the public surface), or call
-            :meth:`sweep_breakdowns` for the raw breakdowns.
-        """
-        raise RemovedApiError(
-            "TlbTpiModel.sweep was removed after its deprecation cycle; "
-            "query through repro.api.run_query(OptimizationRequest('tlb', "
-            "workload)) or call TlbTpiModel.sweep_breakdowns for raw "
-            "breakdowns"
-        )
 
     def best_boundary(
         self, histogram: TlbDepthHistogram, load_store_fraction: float

@@ -93,8 +93,11 @@ class TestRunnerMechanics:
             lint_paths([tmp_path / "m.py"], select=["RPR999"], config=LintConfig())
 
     def test_all_eight_rules_registered(self):
-        ids = rule_ids()
-        assert set(ids) >= {f"RPR00{i}" for i in range(1, 9)}
+        # The original eight file rules, less RPR007: it only policed
+        # entry points that are now deleted, so it was retired with them.
+        ids = set(rule_ids())
+        assert ids >= {f"RPR00{i}" for i in range(1, 9)} - {"RPR007"}
+        assert "RPR007" not in ids
 
     def test_findings_are_sorted_and_clickable(self, tmp_path):
         source = "import time\na = time.time()\nb = time.time()\n"
@@ -534,65 +537,6 @@ class TestRPR006ObservabilityNaming:
         assert result.clean and result.suppressed
 
 
-class TestRPR007RemovedEntryPoints:
-    def test_removed_import_flagged(self, tmp_path):
-        result = lint_source(
-            tmp_path, "from repro.engine.telemetry import summarize\n"
-        )
-        assert finding_rules(result) == ["RPR007"]
-        assert "removed" in result.findings[0].message
-        assert "repro.obs.summarize" in result.findings[0].message
-
-    def test_sweep_for_call_flagged(self, tmp_path):
-        result = lint_source(tmp_path, "rows = sweep_for('fp')\n")
-        assert finding_rules(result) == ["RPR007"]
-
-    def test_model_sweep_via_local_binding_flagged(self, tmp_path):
-        source = """
-        model = CacheTpiModel(profile)
-        rows = model.sweep()
-        """
-        result = lint_source(tmp_path, source)
-        assert finding_rules(result) == ["RPR007"]
-
-    def test_chained_constructor_sweep_flagged(self, tmp_path):
-        result = lint_source(tmp_path, "rows = TlbTpiModel(p).sweep()\n")
-        assert finding_rules(result) == ["RPR007"]
-        assert "removed" in result.findings[0].message
-
-    def test_all_removed_names_have_fixtures(self, tmp_path):
-        # One fixture per removed entry point, so the rule keeps pace
-        # with the deprecation ledger.
-        fixtures = {
-            "queue_study.sweep_for": "from repro.experiments.queue_study import sweep_for\n",
-            "engine.telemetry.summarize": "text = telemetry.summarize(path)\n",
-            "CacheTpiModel.sweep": "rows = CacheTpiModel().sweep(h, 0.3)\n",
-            "TlbTpiModel.sweep": "rows = TlbTpiModel().sweep(h, 0.3)\n",
-            "BranchTpiModel.sweep": "rows = BranchTpiModel().sweep(p, 100)\n",
-        }
-        for name, source in fixtures.items():
-            result = lint_source(tmp_path, source)
-            assert finding_rules(result) == ["RPR007"], name
-
-    def test_structure_sweep_api_not_flagged(self, tmp_path):
-        # The NEW unified API's method is also called sweep.
-        source = """
-        runner = CacheStructureSweep(profile)
-        rows = runner.sweep()
-        """
-        assert lint_source(tmp_path, source).clean
-
-    def test_suppressed_inside_multiline_import(self, tmp_path):
-        source = """
-        from repro.engine.telemetry import (
-            read_events,
-            summarize,  # repro: noqa[RPR007] re-export shim
-        )
-        """
-        result = lint_source(tmp_path, source)
-        assert result.clean and result.suppressed
-
-
 class TestRPR008FloatEquality:
     def test_tpi_equality_flagged(self, tmp_path):
         result = lint_source(tmp_path, "same = tpi_a == tpi_b\n")
@@ -637,8 +581,7 @@ class TestSelfHost:
 
     def test_suppressions_are_audited(self):
         # Every waiver in src/ is deliberate; this pins the count so a
-        # new suppression shows up in review.  (The RPR007 waiver died
-        # with the engine.summarize re-export shim.)
+        # new suppression shows up in review.
         result = lint_paths([REPO_ROOT / "src"])
         waived = sorted({f.rule_id for f in result.suppressed})
         assert waived == ["RPR004", "RPR008"]
@@ -689,11 +632,11 @@ class TestSelfHostFixes:
         from repro.cache.config import CacheGeometry
         from repro.cache.stackdist import DepthHistogram
         from repro.cache.tpi import CacheTpiModel
-        from repro.errors import RemovedApiError
 
         histogram = DepthHistogram.from_depths(
             CacheGeometry(), np.array([0, 1, 2, 3], dtype=np.int64)
         )
         model = CacheTpiModel()
-        with pytest.raises(RemovedApiError, match="repro.api"):
-            model.sweep(histogram, 0.3, (1, 2))  # repro: noqa[RPR007] shim under test
+        with pytest.raises(AttributeError):
+            model.sweep(histogram, 0.3, (1, 2))
+        assert model.sweep_breakdowns(histogram, 0.3, (1, 2))

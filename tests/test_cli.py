@@ -43,6 +43,17 @@ class TestParser:
         assert args.journal == "fig9.journal"
         assert args.resume
 
+    def test_run_sinks_only_on_commands_that_honour_them(self):
+        parser = build_parser()
+        for argv in (["figure", "9"], ["query", "dcache", "compress"]):
+            args = parser.parse_args(argv + ["--metrics", "m", "--profile"])
+            assert args.metrics == "m" and args.profile
+        for argv in (["serve"], ["loadtest"]):
+            assert parser.parse_args(argv + ["--trace", "t"]).trace == "t"
+            for flag in ("--metrics=m", "--profile", "--telemetry=t"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv + [flag])
+
     def test_resume_without_journal_is_rejected(self):
         from repro.cli import _engine_from_args
 

@@ -1,4 +1,4 @@
-"""The experiment engine: determinism, caching, telemetry, unification.
+"""The experiment engine: determinism, caching, tracing, unification.
 
 The engine's contract has three legs, each tested here:
 
@@ -6,13 +6,14 @@ The engine's contract has three legs, each tested here:
   deterministic chunking plus submission-order assembly;
 * the content-addressed cache round-trips payloads exactly, and its
   keys change when any technology constant changes; and
-* every run emits a telemetry event stream that validates against
-  :data:`repro.engine.telemetry.EVENT_SCHEMA`.
+* under an active tracer every run is one ``engine.map`` span with one
+  ``engine.cell`` event per cell, and the records validate against the
+  trace schema (:func:`repro.obs.validate_trace`).
 
-The unified sweep API (satellite of the same change) is covered at the
-end: the four :class:`~repro.core.metrics.StructureSweep`
-implementations, the uniform ``run()`` return type, and the deprecation
-shims on the superseded per-structure ``sweep`` entry points.
+The unified sweep API is covered at the end: the four
+:class:`~repro.core.metrics.StructureSweep` implementations, the
+uniform ``run()`` return type, and the removal of the superseded
+per-structure ``sweep`` entry points.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from repro.engine.sweeps import (
     TlbStructureSweep,
     all_structure_sweeps,
 )
-from repro.engine.telemetry import read_events, validate_events
 from repro.errors import EngineError
+from repro.obs import Tracer, summarize_trace, validate_trace
 from repro.workloads.suite import get_profile
 
 #: Deliberately small traces: every test below re-simulates cells.
@@ -206,33 +207,35 @@ def test_cell_key_mixes_kind_and_spec():
 
 
 # ---------------------------------------------------------------------------
-# telemetry
+# run telemetry: the trace is the engine's one event stream
 # ---------------------------------------------------------------------------
 
 
 def test_telemetry_log_validates_against_the_schema(tmp_path):
-    log = tmp_path / "run.jsonl"
     cells = _mixed_cells()
-    engine = ExperimentEngine(jobs=2, cache_dir=tmp_path / "cache", telemetry=log)
-    engine.map(cells)
-    engine.map(cells)  # second, fully cached run in the same log
+    engine = ExperimentEngine(jobs=2, cache_dir=tmp_path / "cache")
+    with Tracer() as tracer:
+        engine.map(cells)
+        engine.map(cells)  # second, fully cached run in the same trace
 
-    events = read_events(log)
-    validate_events(events)  # raises on any schema violation
+    validate_trace(tracer.records)  # raises on any schema violation
 
-    runs = [e for e in events if e["event"] == "run_end"]
+    runs = [r for r in tracer.records if r["name"] == "engine.map"]
     assert len(runs) == 2
-    cold, warm = runs
-    assert cold["cache_misses"] == len(cells)
-    assert warm["cache_hits"] == len(cells)
-    cell_events = [e for e in events if e["event"] == "cell"]
-    assert [e["index"] for e in cell_events] == [0, 1, 2, 3, 4, 5] * 2
-    assert {e["source"] for e in cell_events} == {"cache", "computed"}
+    cold, warm = (r["attrs"] for r in runs)
+    assert (cold["cache_misses"], cold["cache_hits"]) == (len(cells), 0)
+    assert (warm["cache_misses"], warm["cache_hits"]) == (0, len(cells))
+    assert "run_id" not in cold  # the span id names the run
+    cell_events = [r for r in tracer.records if r["name"] == "engine.cell"]
+    assert [e["attrs"]["index"] for e in cell_events] == [0, 1, 2, 3, 4, 5] * 2
+    assert {e["attrs"]["source"] for e in cell_events} == {"cache", "computed"}
+    assert [e["parent"] for e in cell_events] == (
+        [runs[0]["id"]] * len(cells) + [runs[1]["id"]] * len(cells)
+    )
 
-    from repro.obs.summarize import summarize_path
-
-    digest = summarize_path(log)
-    assert f"{len(cells)} cells" in digest
+    digest = summarize_trace(tracer.records)
+    assert f"engine.map {runs[0]['id']}: {len(cells)} cells (0 cached" in digest
+    assert f"engine.map {runs[1]['id']}: {len(cells)} cells ({len(cells)} cached" in digest
 
 
 def test_telemetry_counters_exist_without_a_log_file():
@@ -297,8 +300,6 @@ def test_sweeps_agree_with_the_legacy_models():
 
 def test_removed_sweep_signatures_hard_error():
     from repro.branch.tpi import BranchTpiModel
-    from repro.branch.workloads import branch_profile_for
-    from repro.errors import RemovedApiError
     from repro.experiments import queue_study
     from repro.tlb.tpi import TlbTpiModel
 
@@ -307,29 +308,28 @@ def test_removed_sweep_signatures_hard_error():
 
     histogram = cached_tlb_histogram(profile, N_REFS, WARMUP)
     ls = profile.memory.load_store_fraction
-    with pytest.raises(RemovedApiError, match="repro.api"):
-        TlbTpiModel().sweep(histogram, ls)
+    with pytest.raises(AttributeError):
+        TlbTpiModel().sweep
     # The raw breakdown surface replaces it one-for-one.
     assert TlbTpiModel().sweep_breakdowns(histogram, ls)
 
-    bp = branch_profile_for(profile)
-    with pytest.raises(RemovedApiError, match="repro.api"):
-        BranchTpiModel().sweep(bp, N_BRANCHES)
+    with pytest.raises(AttributeError):
+        BranchTpiModel().sweep
 
-    with pytest.raises(RemovedApiError, match="repro.api"):
-        queue_study.sweep_for(profile, n_instructions=N_INSTR)
+    with pytest.raises(ImportError):
+        from repro.experiments.queue_study import sweep_for  # noqa: F401
+    assert not hasattr(queue_study, "sweep_for")
 
 
 def test_cache_model_sweep_hard_errors():
     from repro.cache.tpi import CacheTpiModel
     from repro.engine.cells import cached_histogram
-    from repro.errors import RemovedApiError
 
     profile = get_profile("compress")
     histogram = cached_histogram(profile, N_REFS, WARMUP)
     ls = profile.memory.load_store_fraction
-    with pytest.raises(RemovedApiError, match="repro.api"):
-        CacheTpiModel().sweep(histogram, ls, boundaries=(1, 2))
+    with pytest.raises(AttributeError):
+        CacheTpiModel().sweep
     assert CacheTpiModel().sweep_breakdowns(histogram, ls, boundaries=(1, 2))
 
 

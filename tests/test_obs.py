@@ -1,20 +1,19 @@
-"""Unit tests for the observability layer: tracer, metrics, profiler,
-summaries, and the legacy-telemetry compatibility shim."""
+"""Unit tests for the observability layer: tracer, metrics, the
+trace-built ``--profile`` table, and summaries."""
 
+import argparse
+import importlib
 import time
 
 import numpy as np
 import pytest
 
+from repro.cli import _run_observed
+from repro.engine.engine import ExperimentEngine
 from repro.errors import ObservabilityError
 from repro.obs.metrics import Counter, MetricsRegistry
-from repro.obs.profile import add_sample, profiled, profiling
 from repro.obs.schema import read_records, validate_record, validate_trace
-from repro.obs.summarize import (
-    summarize_engine_events,
-    summarize_path,
-    summarize_trace,
-)
+from repro.obs.summarize import profile_report, summarize_path, summarize_trace
 from repro.obs.trace import (
     NULL_TRACER,
     Tracer,
@@ -250,40 +249,53 @@ class TestMetricsRegistry:
         assert reg.snapshot() == {}
 
 
+def _profile_args(profile: bool) -> argparse.Namespace:
+    return argparse.Namespace(trace=None, metrics=None, profile=profile)
+
+
 class TestProfiler:
-    def test_disabled_hooks_are_noops(self):
-        section = profiled("anything")
-        assert section is profiled("other")  # shared null section
-        with section:
-            pass
-        add_sample("anything", 1.0)  # must not raise
+    """``--profile`` is a table over trace records, not a second hook."""
+
+    def test_disabled_hooks_are_noops(self, capsys):
+        seen = []
+        result = _run_observed(
+            _profile_args(False), "figure",
+            lambda: seen.append(current_tracer()) or 7,
+        )
+        assert result == 7
+        assert seen == [NULL_TRACER]  # no tracer, no records, no table
+        assert capsys.readouterr().err == ""
 
     def test_profiling_collects_sections_and_samples(self):
-        with profiling() as prof:
-            with profiled("work"):
+        with Tracer() as t:
+            with t.span(
+                "engine.map", level="engine", jobs=1, n_cells=2,
+                cache_hits=1, cache_misses=1, elapsed_s=1.0, busy_s=0.5,
+            ) as sp:
+                sp.event("engine.cell", kind="cache_tpi", wall_s=0.5)
+                sp.event("engine.cell", kind="cache_tpi", wall_s=0.25)
+            with t.span("structure.run", level="structure", structure="dcache"):
                 pass
-            add_sample("work", 0.5)
-            add_sample("io", 0.25)
-        stats = prof.stats()
-        assert stats["work"]["count"] == 2
-        assert stats["work"]["total_s"] >= 0.5
-        assert stats["work"]["max_s"] >= stats["work"]["mean_s"]
-        assert stats["io"]["count"] == 1
-        report = prof.report()
-        assert "work" in report and "io" in report
+        report = profile_report(t.records)
+        assert report.startswith("profile: wall time per section")
+        assert (
+            "engine.map s000001: 2 cells (1 cached, 1 computed) in 1.000s "
+            "on 1 job(s), busy 0.500s, utilization 50%"
+        ) in report
+        assert "cell:cache_tpi: 0.7500s over 2 run(s)" in report
+        assert "structure:dcache:" in report
 
     def test_empty_report(self):
-        with profiling() as prof:
-            pass
-        assert "no sections" in prof.report()
+        assert profile_report([]) == "profile: no sections recorded"
 
-    def test_nested_profiling_restores_previous(self):
-        with profiling() as outer:
-            with profiling() as inner:
-                add_sample("k", 1.0)
-            add_sample("k", 1.0)
-        assert inner.stats()["k"]["count"] == 1
-        assert outer.stats()["k"]["count"] == 1
+    def test_nested_profiling_restores_previous(self, capsys):
+        with Tracer() as outer:
+            _run_observed(
+                _profile_args(True), "figure", lambda: ExperimentEngine().map([])
+            )
+            assert current_tracer() is outer
+        assert outer.records == []  # the profile used its own tracer
+        assert "engine.map s000002: 0 cells" in capsys.readouterr().err
 
 
 class TestSummaries:
@@ -300,15 +312,22 @@ class TestSummaries:
         ]
 
     def test_engine_digest_tolerates_missing_fields(self):
-        events = self._legacy_events()
-        del events[-1]["busy_s"]
-        del events[-1]["worker_utilization"]
-        text = summarize_engine_events(events)
-        assert "2 cells" in text
-        assert "?" in text  # placeholders, not a KeyError
+        # A map that raised closes its span before the counters are set.
+        with Tracer() as t:
+            with pytest.raises(ObservabilityError):
+                with t.span("engine.map", level="engine", jobs=2, n_cells=2):
+                    raise ObservabilityError("boom")
+        text = summarize_trace(t.records)
+        assert "engine runs: 1" in text
+        assert "2 cells (? cached, ? computed) in ?s on 2 job(s)" in text
+        assert "utilization ?" in text  # placeholders, not a KeyError
 
     def test_engine_digest_without_runs(self):
-        assert summarize_engine_events([]) == "no completed runs"
+        with Tracer() as t:
+            with t.span("figure", level="run"):
+                pass
+        assert "engine runs" not in summarize_trace(t.records)
+        assert "engine runs" not in profile_report(t.records)
 
     def test_summarize_path_sniffs_legacy_telemetry(self, tmp_path):
         import json
@@ -317,8 +336,8 @@ class TestSummaries:
         path.write_text(
             "\n".join(json.dumps(e) for e in self._legacy_events()) + "\n"
         )
-        text = summarize_path(path)
-        assert "run r1" in text and "2 cells" in text
+        with pytest.raises(ObservabilityError, match="unknown record shape"):
+            summarize_path(path)
 
     def test_summarize_path_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "junk.jsonl"
@@ -351,9 +370,7 @@ class TestSummaries:
         assert "[li] config=2 tpi=0.2500 ns" in text
         assert "candidate evaluations: 2 (dcache=2)" in text
 
-    def test_telemetry_summarize_shim_removed(self, tmp_path):
-        from repro.engine import telemetry
-        from repro.errors import RemovedApiError
-
-        with pytest.raises(RemovedApiError, match="obs summarize"):
-            telemetry.summarize(tmp_path / "telemetry.jsonl")
+    def test_telemetry_summarize_shim_removed(self):
+        for module in ("repro.engine.telemetry", "repro.obs.profile"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)

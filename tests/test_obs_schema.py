@@ -88,6 +88,35 @@ class TestCliObservability:
         out = capsys.readouterr().out
         assert "interval TPI timeline" in out
         assert "reconfigurations:" in out
+        assert "engine runs: 1" in out
+        assert "21 cells (0 cached, 21 computed) in " in out
+        assert "on 1 job(s), busy " in out and "utilization " in out
+
+    def test_query_honours_trace_metrics_and_profile(self, tmp_path, capsys):
+        trace_path = tmp_path / "q.jsonl"
+        metrics_path = tmp_path / "q.prom"
+        assert main([
+            "query", "dcache", "compress", "--trace", str(trace_path),
+            "--metrics", str(metrics_path), "--profile",
+        ]) == 0
+        records = read_records(trace_path)
+        validate_trace(records)
+        names = {r["name"] for r in records if r["record"] == "span"}
+        assert {"query", "engine.map"} <= names
+        assert "repro_engine_runs_total" in metrics_path.read_text()
+        captured = capsys.readouterr()
+        assert "dcache/compress: best configuration" in captured.out
+        assert "engine.map" in captured.err
+
+    def test_figure_9_profile_keeps_stdout(self, capsys):
+        assert main(["figure", "9"]) == 0
+        plain = capsys.readouterr()
+        assert main(["figure", "9", "--profile"]) == 0
+        profiled = capsys.readouterr()
+        assert profiled.out == plain.out
+        assert plain.err == ""
+        assert "engine.map" in profiled.err
+        assert "cell:cache_tpi" in profiled.err
 
     def test_obs_check_command(self, capsys):
         assert main(["obs", "check"]) == 0
