@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-engine bench-lint bench-smoke obs-check resilience-check robust-check service-smoke loadtest-smoke chaos-smoke distributed-smoke lint lint-graph typecheck ruff check figures examples clean
+.PHONY: install test bench bench-engine bench-figures bench-lint bench-smoke obs-check resilience-check robust-check service-smoke loadtest-smoke chaos-smoke distributed-smoke lint lint-graph typecheck ruff check figures examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -15,6 +15,15 @@ bench:
 
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/test_bench_engine.py --benchmark-only -s
+
+# The paper-scale figure benchmarks and their shape assertions (for
+# example Figure 11's 4-12% average reduction), plus the engine's
+# cold/warm result-cache gate.
+bench-figures:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_fig7.py \
+		benchmarks/test_bench_fig8_fig9.py benchmarks/test_bench_fig10.py \
+		benchmarks/test_bench_fig11.py benchmarks/test_bench_engine.py \
+		--benchmark-only
 
 # One short run of every perfbench workload: Figure 8/9 and 10/11 paper
 # digests, every wrapped entry point, every metric printed with its unit.

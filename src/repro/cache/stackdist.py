@@ -40,9 +40,22 @@ class StackDistanceEngine:
     used).  Anything at or beyond the structure's total associativity is
     folded into :data:`COLD_DEPTH` — those references miss the whole
     structure regardless of the boundary, so their exact depth is
-    irrelevant and the per-set stacks can be truncated, keeping every
-    list scan bounded by 32 entries.
+    irrelevant and the scan behind each reference stops after
+    ``total_ways`` distinct blocks.
+
+    :meth:`process` is a numpy kernel over the whole call.  Because the
+    set index is a function of the block, sorting references by set
+    (stably) lines each set's references up in time order, and a
+    reference's depth is the number of distinct blocks between it and
+    the previous reference to its block in that sorted sequence.  The
+    engine carries, between calls, each set's ``total_ways`` most
+    recent distinct blocks (exactly the truncated LRU stack) and
+    replays them, least recent first, ahead of the next call.
     """
+
+    #: Entries counted per vectorised step of the scan; bounds its
+    #: temporaries and the width of one block.
+    _SCAN_BUDGET = 1 << 16
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
@@ -51,11 +64,14 @@ class StackDistanceEngine:
         self._block_shift = geometry.block_bytes.bit_length() - 1
         if 1 << self._block_shift != geometry.block_bytes:
             raise SimulationError("block size must be a power of two")
-        self._stacks: list[list[int]] = [[] for _ in range(self._n_sets)]
+        # A small-int key makes numpy's stable argsort a radix sort.
+        self._set_dtype = np.min_scalar_type(self._n_sets - 1)
+        self.reset()
 
     def reset(self) -> None:
         """Forget all cached blocks (equivalent to a cold structure)."""
-        self._stacks = [[] for _ in range(self._n_sets)]
+        # Each set's resident blocks, least recent first, sets ascending.
+        self._resident = np.empty(0, dtype=np.uint64)
 
     def process(self, addresses: np.ndarray) -> np.ndarray:
         """Return the stack depth of every byte address in ``addresses``.
@@ -63,29 +79,101 @@ class StackDistanceEngine:
         The returned array is ``uint8``; entries are either a depth in
         ``[0, total_ways)`` or :data:`COLD_DEPTH`.
         """
-        n_sets = self._n_sets
-        max_depth = self._max_depth
-        stacks = self._stacks
         blocks = np.asarray(addresses, dtype=np.uint64) >> np.uint64(self._block_shift)
-        set_idx = (blocks % np.uint64(n_sets)).astype(np.int64)
-        depths = np.empty(len(blocks), dtype=np.uint8)
-        block_list = blocks.tolist()
-        set_list = set_idx.tolist()
-        for i, (block, s) in enumerate(zip(block_list, set_list)):
-            stack = stacks[s]
-            try:
-                depth = stack.index(block)
-            except ValueError:
-                depths[i] = COLD_DEPTH
-                stack.insert(0, block)
-                if len(stack) > max_depth:
-                    stack.pop()
-                continue
-            depths[i] = depth
-            if depth:
-                del stack[depth]
-                stack.insert(0, block)
-        return depths
+        if len(blocks) == 0:
+            return np.empty(0, dtype=np.uint8)
+        n_replayed = len(self._resident)
+        blocks = np.concatenate((self._resident, blocks))
+        index = np.int32 if len(blocks) < 2**31 else np.int64
+        sets = (blocks % np.uint64(self._n_sets)).astype(self._set_dtype)
+        order = np.argsort(sets, kind="stable")
+        del sets
+        blocks = blocks[order]
+        # An immediate repeat within its set has depth 0 and puts no new
+        # block in any other reference's window: only the first
+        # reference of each run reaches the scan.
+        first = np.ones(len(blocks), dtype=bool)
+        np.not_equal(blocks[1:], blocks[:-1], out=first[1:])
+        runs = blocks[first]
+        del blocks
+        prev, nxt = _link_occurrences(runs, index)
+        run_depths = _scan_depths(prev, nxt, self._max_depth, self._SCAN_BUDGET)
+        self._resident = self._keep_resident(runs, nxt)
+        depths = np.zeros(len(first), dtype=np.uint8)
+        depths[order[first]] = run_depths
+        return depths[n_replayed:]
+
+    def _keep_resident(self, runs: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+        """Each set's ``total_ways`` most recent distinct blocks."""
+        last = np.flatnonzero(nxt == len(runs))  # final reference per block
+        sets = runs[last] % np.uint64(self._n_sets)
+        # Runs are grouped by set, so a set's entries end where the next
+        # set's begin; keep the last ``total_ways`` of each group.
+        group_end = np.searchsorted(sets, sets, side="right")
+        recent = group_end - np.arange(len(last)) <= self._max_depth
+        return runs[last[recent]]
+
+
+def _link_occurrences(runs: np.ndarray, index: type) -> tuple[np.ndarray, np.ndarray]:
+    """Previous and next position of each entry's block in ``runs``.
+
+    ``-1`` marks a first occurrence and ``len(runs)`` a last one.
+    """
+    m = len(runs)
+    by_block = np.argsort(runs, kind="stable").astype(index)
+    grouped = runs[by_block]
+    same = grouped[1:] == grouped[:-1]
+    del grouped
+    earlier = by_block[:-1][same]
+    later = by_block[1:][same]
+    del by_block, same
+    prev = np.full(m, -1, dtype=index)
+    prev[later] = earlier
+    nxt = np.full(m, m, dtype=index)
+    nxt[earlier] = later
+    return prev, nxt
+
+
+def _scan_depths(
+    prev: np.ndarray, nxt: np.ndarray, max_depth: int, budget: int
+) -> np.ndarray:
+    """Stack depth of every entry, from its previous and next occurrences.
+
+    Entry ``j``'s depth is the number of entries ``k`` between
+    ``prev[j]`` and ``j`` whose block is not seen again before ``j``
+    (``nxt[k] > j``): each such ``k`` is the last reference to a distinct
+    block.  The count runs backwards from ``j`` in blocks of doubling
+    width and stops at ``prev[j]``, or after ``max_depth`` distinct
+    blocks, which makes the depth :data:`COLD_DEPTH`.  Counting by next
+    occurrence is what allows that early stop: walking backwards, the
+    counted entries are the distinct blocks in recency order, as in the
+    LRU list walk.
+    """
+    index = prev.dtype.type
+    depths = np.full(len(prev), COLD_DEPTH, dtype=np.uint8)
+    rows = np.flatnonzero(prev >= 0).astype(index)
+    floor = prev[rows]
+    top = rows.copy()  # entries in [top, rows) are already counted
+    counted = np.zeros(len(rows), dtype=index)
+    width = 8
+    while len(rows):
+        steps = np.arange(1, width + 1, dtype=index)[:, None]
+        chunk = budget // width
+        for lo in range(0, len(rows), chunk):
+            hi = lo + chunk
+            # One row per step and one column per entry, so the sum runs
+            # over contiguous rows.  Clamping at floor counts nothing:
+            # nxt[floor] is the entry itself.
+            k = np.maximum(top[lo:hi] - steps, floor[lo:hi])
+            counted[lo:hi] += (nxt[k] > rows[lo:hi]).sum(axis=0, dtype=index)
+        top -= width
+        full = counted >= max_depth
+        done = full | (top <= floor + 1)
+        depths[rows[done & ~full]] = counted[done & ~full]
+        keep = ~done
+        rows, floor, top, counted = rows[keep], floor[keep], top[keep], counted[keep]
+        width = min(2 * width, budget)
+    return depths
 
 
 @dataclass(frozen=True)

@@ -20,32 +20,11 @@ from dataclasses import dataclass, field
 from repro.core.metrics import TpiComparison
 from repro.engine.cells import queue_tpi_cell
 from repro.engine.engine import ExperimentEngine, default_engine
-from repro.ooo.machine import MachineResult, run_window_sweep
-from repro.ooo.timing import PAPER_QUEUE_SIZES, QueueTimingModel
-from repro.workloads.instruction_trace import generate_instruction_trace
-from repro.workloads.profiles import BenchmarkProfile
+from repro.ooo.timing import QueueTimingModel
 from repro.workloads.suite import queue_study_profiles
 
 #: Default measured trace length (instructions per application).
 DEFAULT_N_INSTRUCTIONS: int = 16_000
-
-_SWEEP_CACHE: dict[tuple, dict[int, MachineResult]] = {}
-
-
-def _machine_sweep(
-    profile: BenchmarkProfile,
-    n_instructions: int = DEFAULT_N_INSTRUCTIONS,
-    sizes: tuple[int, ...] = PAPER_QUEUE_SIZES,
-) -> dict[int, MachineResult]:
-    """Machine results for one application at every queue size (memoised)."""
-    key = (profile.name, n_instructions, sizes, profile.seed)
-    hit = _SWEEP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    trace = generate_instruction_trace(profile.ilp, n_instructions, profile.seed)
-    results = run_window_sweep(trace, sizes)
-    _SWEEP_CACHE[key] = results
-    return results
 
 
 def queue_tpi_table(

@@ -18,13 +18,15 @@ tree of priority encoders implements):
    oldest first.
 
 The queue-occupancy constraint needs the k-th smallest issue time of
-all older instructions with ``k`` growing by one per instruction; a
-two-heap structure maintains it in O(log window) per instruction.
+all older instructions with ``k = i - window + 1`` growing by one per
+instruction.  Every instruction from then on issues after that k-th
+smallest time, so it never decreases: a pointer walks forward over the
+per-cycle issue counts select already keeps, and the whole pass is
+O(n + cycles).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,38 +69,6 @@ class MachineResult:
         return cycle_time_ns / self.ipc
 
 
-class _RunningKthSmallest:
-    """Streaming k-th order statistic where k grows by one per step.
-
-    ``low`` is a max-heap (negated) holding the k smallest values seen;
-    ``high`` is a min-heap of the rest.  ``advance()`` grows k; ``add()``
-    inserts a new value; ``kth()`` reads the current k-th smallest.
-    """
-
-    __slots__ = ("_low", "_high")
-
-    def __init__(self) -> None:
-        self._low: list[int] = []
-        self._high: list[int] = []
-
-    def add(self, value: int) -> None:
-        if self._low and value < -self._low[0]:
-            heapq.heappush(self._low, -value)
-            heapq.heappush(self._high, -heapq.heappop(self._low))
-        else:
-            heapq.heappush(self._high, value)
-
-    def advance(self) -> None:
-        if not self._high:
-            raise SimulationError("order statistic advanced past its population")
-        heapq.heappush(self._low, -heapq.heappop(self._high))
-
-    def kth(self) -> int:
-        if not self._low:
-            raise SimulationError("order statistic read before first advance")
-        return -self._low[0]
-
-
 class OutOfOrderMachine:
     """Greedy oldest-first scheduler for one :class:`MachineConfig`."""
 
@@ -132,11 +102,17 @@ class OutOfOrderMachine:
                 if addr >= 0:
                     latency[i] = memory_system.load_latency_cycles(int(addr))
 
-        issue = np.zeros(n, dtype=np.int64)
-        issue_list = issue.tolist()  # python ints are faster in the loop
+        issue_list = [0] * n
         dispatch_times: list[int] = [0] * n
-        issue_counts: dict[int, int] = {}
-        occupancy = _RunningKthSmallest()
+        # issued[c] counts the instructions issued in cycle c.
+        issued: list[int] = []
+        # kth is the (i - window + 1)-th smallest issue time so far (-1
+        # while the queue has never been full) and below the number of
+        # instructions issued in cycles <= kth.  Every later instruction
+        # dispatches after kth, so the counts the pointer has passed
+        # never change again.
+        kth = -1
+        below = 0
         last_dispatch = 0
 
         for i in range(n):
@@ -146,12 +122,12 @@ class OutOfOrderMachine:
                 earliest_by_bw = dispatch_times[i - dispatch_width] + 1
                 if earliest_by_bw > d:
                     d = earliest_by_bw
-            if i >= window:
-                occupancy.advance()  # k becomes i - window + 1
-                # the slot is reusable the cycle after its occupant issues
-                free_at = occupancy.kth() + 1
-                if free_at > d:
-                    d = free_at
+            while below <= i - window:
+                kth += 1
+                below += issued[kth]
+            # the slot is reusable the cycle after its occupant issues
+            if kth + 1 > d:
+                d = kth + 1
             dispatch_times[i] = d
             last_dispatch = d
 
@@ -170,16 +146,17 @@ class OutOfOrderMachine:
 
             # -- select: oldest-first, issue_width per cycle
             cycle = ready
-            count = issue_counts.get(cycle, 0)
-            while count >= issue_width:
-                cycle += 1
-                count = issue_counts.get(cycle, 0)
-            issue_counts[cycle] = count + 1
+            try:
+                while issued[cycle] >= issue_width:
+                    cycle += 1
+                issued[cycle] += 1
+            except IndexError:  # later than every cycle issued in so far
+                issued.extend([0] * (cycle + 1))
+                issued[cycle] = 1
             issue_list[i] = cycle
-            occupancy.add(cycle)
 
         issue = np.array(issue_list, dtype=np.int64)
-        completion = issue + trace.latency.astype(np.int64)
+        completion = issue + np.array(latency, dtype=np.int64)
         cycles = int(completion.max()) + 1
         return MachineResult(
             config=self.config,

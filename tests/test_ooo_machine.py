@@ -1,16 +1,16 @@
-"""Tests for the out-of-order machine, including hand-checked schedules."""
+"""Tests for the out-of-order machine: hand-checked schedules, and
+equivalence with the two-heap scheduler it replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cache.hierarchy import AccessLevel
 from repro.errors import SimulationError
-from repro.ooo.machine import (
-    MachineConfig,
-    OutOfOrderMachine,
-    _RunningKthSmallest,
-    run_window_sweep,
-)
+from repro.ooo.machine import MachineConfig, OutOfOrderMachine, run_window_sweep
+from repro.ooo.memory import CacheMemorySystem
 from repro.workloads.instruction_trace import NO_DEP, InstructionTrace
+from tests.oracles import heap_schedule
 
 
 def _trace(deps1, deps2, lats):
@@ -133,24 +133,98 @@ class TestMachineConfig:
         assert result.tpi_ns(0.5) == pytest.approx(0.5 / result.ipc)
 
 
-class TestRunningKthSmallest:
-    def test_tracks_order_statistics(self):
-        tracker = _RunningKthSmallest()
-        values = [5, 1, 9, 3, 7, 2]
-        seen = []
-        for i, v in enumerate(values):
-            tracker.add(v)
-            seen.append(v)
-            tracker.advance()
-            assert tracker.kth() == sorted(seen)[i]
+class TestMemorySystem:
+    def test_missing_load_counts_its_resolved_latency(self):
+        """``cycles`` runs to the last completion under the latencies the
+        hierarchy resolves, not the trace's nominal ones."""
+        trace = InstructionTrace(
+            dep1=np.array([NO_DEP]),
+            dep2=np.array([NO_DEP]),
+            latency=np.array([2], dtype=np.int16),
+            load_address=np.array([0]),
+        )
+        memory = CacheMemorySystem(l1_increments=2)
+        result = OutOfOrderMachine(MachineConfig(window=16)).run(
+            trace, memory_system=memory
+        )
+        assert memory.level_counts[AccessLevel.MISS] == 1  # 56-cycle miss
+        assert list(result.issue_times) == [0]
+        assert result.cycles == 57
 
-    def test_advance_past_population_rejected(self):
-        tracker = _RunningKthSmallest()
-        with pytest.raises(SimulationError):
-            tracker.advance()
+    def test_agrees_with_heap_oracle(self):
+        rng = np.random.default_rng(11)
+        n = 400
+        dep1 = np.maximum(np.arange(n) - rng.integers(1, 20, n), -1)
+        loads = np.where(rng.random(n) < 0.3, rng.integers(0, 1 << 16, n) * 32, -1)
+        trace = InstructionTrace(
+            dep1=dep1,
+            dep2=np.full(n, NO_DEP),
+            latency=np.where(loads >= 0, 2, 1).astype(np.int16),
+            load_address=loads,
+        )
+        config = MachineConfig(window=32)
+        fast = OutOfOrderMachine(config).run(
+            trace, memory_system=CacheMemorySystem(l1_increments=2)
+        )
+        slow = heap_schedule(config, trace, CacheMemorySystem(l1_increments=2))
+        assert np.array_equal(fast.issue_times, slow.issue_times)
+        assert fast.cycles == slow.cycles
 
-    def test_read_before_advance_rejected(self):
-        tracker = _RunningKthSmallest()
-        tracker.add(1)
-        with pytest.raises(SimulationError):
-            tracker.kth()
+
+@st.composite
+def _dependence_traces(draw):
+    """Random traces: each op has up to two producers among the last
+    ``reach`` ops, and a latency of up to ``max_latency`` cycles."""
+    n = draw(st.integers(1, 400))
+    reach = draw(st.integers(1, 40))
+    max_latency = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = np.arange(n)
+    deps = []
+    for _ in range(2):
+        dep = idx - rng.integers(1, reach + 1, n)
+        dep[(dep < 0) | (rng.random(n) < 0.3)] = NO_DEP
+        deps.append(dep)
+    return InstructionTrace(
+        dep1=deps[0],
+        dep2=deps[1],
+        latency=rng.integers(1, max_latency + 1, n).astype(np.int16),
+    )
+
+
+class TestEquivalenceWithHeapOracle:
+    """The pointer-walk scheduler must issue every instruction in the
+    same cycle as the two-heap scheduler it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        trace=_dependence_traces(),
+        window=st.one_of(st.integers(1, 16), st.integers(1, 160)),
+        issue_width=st.integers(1, 8),
+        dispatch_width=st.integers(1, 8),
+    )
+    def test_random_dependence_traces(
+        self, trace, window, issue_width, dispatch_width
+    ):
+        config = MachineConfig(
+            window=window, issue_width=issue_width, dispatch_width=dispatch_width
+        )
+        fast = OutOfOrderMachine(config).run(trace)
+        slow = heap_schedule(config, trace)
+        assert fast.issue_times.dtype == slow.issue_times.dtype
+        assert np.array_equal(fast.issue_times, slow.issue_times)
+        assert fast.cycles == slow.cycles
+
+    def test_generated_trace_at_paper_sizes(self):
+        from repro.ooo.timing import PAPER_QUEUE_SIZES
+        from repro.workloads.instruction_trace import generate_instruction_trace
+        from repro.workloads.suite import get_profile
+
+        profile = get_profile("swim")
+        trace = generate_instruction_trace(profile.ilp, 3000, profile.seed)
+        for window in PAPER_QUEUE_SIZES:
+            config = MachineConfig(window=window)
+            fast = OutOfOrderMachine(config).run(trace)
+            slow = heap_schedule(config, trace)
+            assert np.array_equal(fast.issue_times, slow.issue_times), window
+            assert fast.cycles == slow.cycles, window
