@@ -107,13 +107,9 @@ class TwoLevelExclusiveCache:
         """
         if config.geometry != self.geometry:
             raise SimulationError("cannot move boundary across different geometries")
-        for s in range(self.geometry.n_sets):
-            unified = list(self._l1[s].blocks) + list(self._l2[s].blocks)
-            l1 = LruSet(config.l1_ways)
-            l2 = LruSet(config.l2_ways)
-            l1.extend_lru(unified[: config.l1_ways])
-            l2.extend_lru(unified[config.l1_ways : config.l1_ways + config.l2_ways])
-            self._l1[s], self._l2[s] = l1, l2
+        l1_ways, l2_ways = config.l1_ways, config.l2_ways
+        for l1, l2 in zip(self._l1, self._l2):
+            l1.repartition(l2, l1_ways, l2_ways)
         self._config = config
 
     def flush(self) -> int:

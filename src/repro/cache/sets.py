@@ -89,8 +89,26 @@ class LruSet:
         del self._blocks[capacity:]
         return evicted
 
-    def extend_lru(self, tags: list[int]) -> None:
-        """Append ``tags`` at the LRU end, preserving their order."""
-        if len(self._blocks) + len(tags) > self.capacity:
-            raise SimulationError("extend_lru would exceed set capacity")
-        self._blocks.extend(tags)
+    def repartition(self, lower: "LruSet", capacity: int, lower_capacity: int) -> None:
+        """Re-split this set and ``lower`` at new capacities, in place.
+
+        ``lower`` is the next level of an exclusive pair: its tags
+        continue this set's recency order.  The unified order is kept;
+        tags past both capacities are dropped.
+        """
+        if capacity < 1 or lower_capacity < 1:
+            raise SimulationError(
+                f"set capacities must be positive, got {capacity} and {lower_capacity}"
+            )
+        self.capacity = capacity
+        lower.capacity = lower_capacity
+        blocks, below = self._blocks, lower._blocks
+        if len(blocks) > capacity:
+            below[:0] = blocks[capacity:]
+            del blocks[capacity:]
+        elif below:
+            moved = capacity - len(blocks)
+            blocks += below[:moved]
+            del below[:moved]
+        if len(below) > lower_capacity:
+            del below[lower_capacity:]

@@ -23,6 +23,9 @@ instruction.  Every instruction from then on issues after that k-th
 smallest time, so it never decreases: a pointer walks forward over the
 per-cycle issue counts select already keeps, and the whole pass is
 O(n + cycles).
+
+The pass reads the trace as Python ints (``InstructionTrace.columns``),
+which each trace converts once however many window sizes replay it.
 """
 
 from __future__ import annotations
@@ -89,18 +92,19 @@ class OutOfOrderMachine:
         dispatch_width = self.config.dispatch_width
 
         n = len(trace)
-        dep1 = trace.dep1.tolist()
-        dep2 = trace.dep2.tolist()
-        latency = trace.latency.tolist()
+        dep1, dep2, latency = trace.columns
+        resolved = trace.latency
         if memory_system is not None:
             if trace.load_address is None:
                 raise SimulationError(
                     "memory_system given but the trace carries no load addresses"
                 )
+            latency = list(latency)  # the trace's columns are shared
             addresses = trace.load_address.tolist()
             for i, addr in enumerate(addresses):
                 if addr >= 0:
                     latency[i] = memory_system.load_latency_cycles(int(addr))
+            resolved = np.array(latency, dtype=np.int64)
 
         issue_list = [0] * n
         dispatch_times: list[int] = [0] * n
@@ -156,8 +160,7 @@ class OutOfOrderMachine:
             issue_list[i] = cycle
 
         issue = np.array(issue_list, dtype=np.int64)
-        completion = issue + np.array(latency, dtype=np.int64)
-        cycles = int(completion.max()) + 1
+        cycles = int((issue + resolved).max()) + 1
         return MachineResult(
             config=self.config,
             n_instructions=n,

@@ -24,11 +24,18 @@ chain.  Three knobs emerge:
 
 Together the knobs place an application's best TPI point at any queue
 size, which is the behaviour Figures 10-13 depend on.
+
+Generation is vectorized: the whole random stream is drawn at once, one
+Python step per iteration decodes which shape each iteration has, and
+numpy fills all iterations of a shape together.  The result is the
+scalar per-instruction generator's, byte for byte (pinned against it in
+the tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +74,19 @@ class InstructionTrace:
 
     def __len__(self) -> int:
         return len(self.latency)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """``(dep1, dep2, latency)`` as tuples of Python ints.
+
+        Converted once per trace: the scheduler indexes them once per
+        instruction, and a queue sweep replays the trace at every size.
+        """
+        return (
+            tuple(self.dep1.tolist()),
+            tuple(self.dep2.tolist()),
+            tuple(self.latency.tolist()),
+        )
 
     def validate(self) -> None:
         """Check the dataflow invariants (producers strictly precede uses)."""
@@ -113,65 +133,62 @@ def concatenate(traces: Sequence[InstructionTrace]) -> InstructionTrace:
     )
 
 
-def _append_iteration(
+def _fill_iterations(
     profile: IlpProfile,
-    rng: np.random.Generator,
-    start: int,
-    prev_chain_tail: int,
-    dep1: list[int],
-    dep2: list[int],
-    latency_cycles: list[int],
-) -> int:
-    """Emit one iteration of ``profile`` starting at index ``start``.
+    draws: np.ndarray,
+    iterations: np.ndarray,
+    dep1: np.ndarray,
+    dep2: np.ndarray,
+    latency_cycles: np.ndarray,
+) -> None:
+    """Write every iteration of one shape at once.
 
-    ``prev_chain_tail`` is the absolute index of the previous
-    iteration's recurrence-chain tail (or :data:`NO_DEP`).  Returns this
-    iteration's chain tail for the next call.
+    Each row of ``iterations`` is ``(shape, first instruction, first
+    draw, incoming chain tail)``.  An iteration is ``recurrence_ops``
+    chain instructions, then a ``layered`` body in ``depth`` levels
+    (level ``l`` at body positions ``[lo[l], hi[l])``) that reads three
+    blocks of ``layered`` draws: long-latency, pick and second
+    dependence.  The float expressions are the scalar generator's, in
+    the same order and precision, so the output is identical to it.
     """
-    block = profile.block_size
+    _, starts, offsets, tails = iterations.T
     rec = profile.recurrence_ops
-    layered = block - rec
-    depth = min(profile.depth, max(layered, 1))
+    layered = profile.block_size - rec
+    if rec:
+        chain = starts[:, None] + np.arange(rec)
+        dep1[chain] = chain - 1
+        dep1[starts] = tails
+        latency_cycles[chain] = profile.recurrence_latency
+    if not layered:
+        return
+    depth = min(profile.depth, layered)
+    lo = np.arange(depth) * layered // depth
+    hi = np.append(lo[1:], layered)
+    level = np.minimum(np.arange(layered) * depth // layered, depth - 1)
 
-    # --- loop-carried recurrence chain ---
-    for j in range(rec):
-        dep1.append(start + j - 1 if j else prev_chain_tail)
-        dep2.append(NO_DEP)
-        latency_cycles.append(profile.recurrence_latency)
-    chain_tail = start + rec - 1 if rec else prev_chain_tail
-
-    if layered == 0:
-        return chain_tail
-
-    # --- layered dataflow body ---
-    # level l occupies body positions [lo[l], hi[l])
-    lo = [l * layered // depth for l in range(depth)]
-    hi = lo[1:] + [layered]
-    level_of = [min(jj * depth // layered, depth - 1) for jj in range(layered)]
-    base = start + rec
-    long_draws = rng.random(layered)
-    pick_draws = rng.random(layered)
-    second_draws = rng.random(layered)
-    for jj in range(layered):
-        level = level_of[jj]
-        if level == 0:
-            dep1.append(NO_DEP)
-            dep2.append(NO_DEP)
-        else:
-            span_lo, span_hi = lo[level - 1], hi[level - 1]
-            dep1.append(base + span_lo + int(pick_draws[jj] * (span_hi - span_lo)))
-            if second_draws[jj] < profile.second_dep_probability:
-                lvl2 = int(second_draws[jj] / profile.second_dep_probability * level)
-                s_lo, s_hi = lo[lvl2], hi[lvl2]
-                dep2.append(base + s_lo + int(pick_draws[jj] * (s_hi - s_lo)))
-            else:
-                dep2.append(NO_DEP)
-        latency_cycles.append(
-            profile.long_latency_cycles
-            if long_draws[jj] < profile.long_latency_fraction
-            else 1
-        )
-    return chain_tail
+    u = draws[offsets[:, None] + np.arange(3 * layered)]
+    long_u = u[:, :layered]
+    pick = u[:, layered : 2 * layered]
+    second = u[:, 2 * layered :]
+    base = starts + rec
+    latency_cycles[base[:, None] + np.arange(layered)] = np.where(
+        long_u < profile.long_latency_fraction, profile.long_latency_cycles, 1
+    )
+    body = np.flatnonzero(level)  # positions with a producer level above
+    above = level[body] - 1
+    dep1[base[:, None] + body] = (
+        base[:, None]
+        + lo[above]
+        + (pick[:, body] * (hi[above] - lo[above])).astype(np.int64)
+    )
+    p = profile.second_dep_probability
+    rows, cols = np.nonzero((second < p) & (level > 0))
+    lvl2 = (second[rows, cols] / p * level[cols]).astype(np.int64)
+    dep2[base[rows] + cols] = (
+        base[rows]
+        + lo[lvl2]
+        + (pick[rows, cols] * (hi[lvl2] - lo[lvl2])).astype(np.int64)
+    )
 
 
 def generate_instruction_trace(
@@ -182,29 +199,54 @@ def generate_instruction_trace(
     Deterministic in ``seed``.  Iterations alternate randomly between
     the base profile and its ``deep_variant`` (when configured), with
     each recurrence chain threading through the most recent chain tail.
+
+    The PCG64 stream is consumed as a per-iteration loop would: one
+    double for the deep/base choice (only with a deep variant), then
+    the long-latency, pick and second-dependence draws, ``layered``
+    doubles each.  All of it is drawn in one call; a loop over
+    iterations decodes which shape each one has, and each shape then
+    fills all its iterations at once.
     """
     if n_instructions <= 0:
         raise WorkloadError(f"n_instructions must be positive, got {n_instructions}")
-    rng = np.random.default_rng(seed)
-    dep1: list[int] = []
-    dep2: list[int] = []
-    latency: list[int] = []
-    chain_tail = NO_DEP
-    while len(latency) < n_instructions:
-        use_deep = (
-            profile.deep_variant is not None
-            and rng.random() < profile.deep_fraction
-        )
-        iteration = profile.deep_variant if use_deep else profile
-        chain_tail = _append_iteration(
-            iteration, rng, len(latency), chain_tail, dep1, dep2, latency
-        )
     n = n_instructions
-    return InstructionTrace(
-        dep1=np.array(dep1[:n], dtype=np.int64),
-        dep2=np.array(dep2[:n], dtype=np.int64),
-        latency=np.array(latency[:n], dtype=np.int16),
-    )
+    shapes = [profile]
+    if profile.deep_variant is not None:
+        shapes.append(profile.deep_variant)
+    choose = len(shapes) - 1  # one choice draw per iteration with a variant
+    blocks = [s.block_size for s in shapes]
+    recs = [s.recurrence_ops for s in shapes]
+    costs = [3 * (b - r) for b, r in zip(blocks, recs)]
+    # Every iteration starts below n, so together they cover fewer than
+    # n + max(blocks) instructions, and shape k draws costs[k] + choose
+    # doubles per blocks[k] of them.
+    cover = n + max(blocks)
+    bound = max(-(-(c + choose) * cover // b) for b, c in zip(blocks, costs))
+    draws = np.random.default_rng(seed).random(bound)
+
+    rows: list[tuple[int, int, int, int]] = []
+    pos = start = 0
+    chain_tail = NO_DEP
+    while start < n:
+        k = 0
+        if choose:
+            k = 1 if draws[pos] < profile.deep_fraction else 0
+            pos += 1
+        rows.append((k, start, pos, chain_tail))
+        pos += costs[k]
+        if recs[k]:
+            chain_tail = start + recs[k] - 1
+        start += blocks[k]
+    iterations = np.array(rows, dtype=np.int64)
+
+    dep1 = np.full(start, NO_DEP, dtype=np.int64)
+    dep2 = np.full(start, NO_DEP, dtype=np.int64)
+    latency = np.empty(start, dtype=np.int16)
+    for k, shape in enumerate(shapes):
+        _fill_iterations(
+            shape, draws, iterations[iterations[:, 0] == k], dep1, dep2, latency
+        )
+    return InstructionTrace(dep1=dep1[:n], dep2=dep2[:n], latency=latency[:n])
 
 
 def attach_memory_trace(

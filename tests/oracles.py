@@ -1,14 +1,21 @@
-"""Test-only scalar oracles for the two simulation kernels.
+"""Test-only oracles for the simulation kernels and the trace generator.
 
-These are the straightforward implementations the fast kernels
-replaced, kept as they were so hypothesis tests can pin the kernels to
-them bit for bit:
+Most are the straightforward implementations the fast code replaced,
+kept as they were so hypothesis tests can pin the fast code to them bit
+for bit:
 
 * :class:`ScalarStackDistanceEngine` walks one LRU list per set, the
   reference for :class:`repro.cache.stackdist.StackDistanceEngine`;
 * :func:`heap_schedule` tracks queue occupancy with a two-heap running
   order statistic, the reference for
-  :class:`repro.ooo.machine.OutOfOrderMachine`.
+  :class:`repro.ooo.machine.OutOfOrderMachine`;
+* :func:`scalar_instruction_trace` emits one instruction per Python
+  step, the reference for
+  :func:`repro.workloads.instruction_trace.generate_instruction_trace`.
+
+:func:`cycle_schedule` is not a replaced implementation but a direct
+model of the machine: it steps the queue cycle by cycle, so it checks
+the greedy list scheduler's reasoning rather than its bookkeeping.
 """
 
 from __future__ import annotations
@@ -19,9 +26,10 @@ import numpy as np
 
 from repro.cache.config import CacheGeometry
 from repro.cache.stackdist import COLD_DEPTH
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkloadError
 from repro.ooo.machine import MachineConfig, MachineResult
 from repro.workloads.instruction_trace import NO_DEP, InstructionTrace
+from repro.workloads.profiles import IlpProfile
 
 
 class ScalarStackDistanceEngine:
@@ -179,4 +187,143 @@ def heap_schedule(
         n_instructions=n,
         cycles=cycles,
         issue_times=issue,
+    )
+
+
+def _append_iteration(
+    profile: IlpProfile,
+    rng: np.random.Generator,
+    start: int,
+    prev_chain_tail: int,
+    dep1: list[int],
+    dep2: list[int],
+    latency_cycles: list[int],
+) -> int:
+    """Emit one iteration of ``profile`` starting at index ``start``.
+
+    ``prev_chain_tail`` is the absolute index of the previous
+    iteration's recurrence-chain tail (or :data:`NO_DEP`).  Returns this
+    iteration's chain tail for the next call.
+    """
+    block = profile.block_size
+    rec = profile.recurrence_ops
+    layered = block - rec
+    depth = min(profile.depth, max(layered, 1))
+
+    # --- loop-carried recurrence chain ---
+    for j in range(rec):
+        dep1.append(start + j - 1 if j else prev_chain_tail)
+        dep2.append(NO_DEP)
+        latency_cycles.append(profile.recurrence_latency)
+    chain_tail = start + rec - 1 if rec else prev_chain_tail
+
+    if layered == 0:
+        return chain_tail
+
+    # --- layered dataflow body ---
+    # level l occupies body positions [lo[l], hi[l])
+    lo = [l * layered // depth for l in range(depth)]
+    hi = lo[1:] + [layered]
+    level_of = [min(jj * depth // layered, depth - 1) for jj in range(layered)]
+    base = start + rec
+    long_draws = rng.random(layered)
+    pick_draws = rng.random(layered)
+    second_draws = rng.random(layered)
+    for jj in range(layered):
+        level = level_of[jj]
+        if level == 0:
+            dep1.append(NO_DEP)
+            dep2.append(NO_DEP)
+        else:
+            span_lo, span_hi = lo[level - 1], hi[level - 1]
+            dep1.append(base + span_lo + int(pick_draws[jj] * (span_hi - span_lo)))
+            if second_draws[jj] < profile.second_dep_probability:
+                lvl2 = int(second_draws[jj] / profile.second_dep_probability * level)
+                s_lo, s_hi = lo[lvl2], hi[lvl2]
+                dep2.append(base + s_lo + int(pick_draws[jj] * (s_hi - s_lo)))
+            else:
+                dep2.append(NO_DEP)
+        latency_cycles.append(
+            profile.long_latency_cycles
+            if long_draws[jj] < profile.long_latency_fraction
+            else 1
+        )
+    return chain_tail
+
+
+def scalar_instruction_trace(
+    profile: IlpProfile, n_instructions: int, seed: int
+) -> InstructionTrace:
+    """Generate ``n_instructions`` instructions for ``profile``, one
+    Python step per instruction.
+
+    Deterministic in ``seed``.  Iterations alternate randomly between
+    the base profile and its ``deep_variant`` (when configured), with
+    each recurrence chain threading through the most recent chain tail.
+    """
+    if n_instructions <= 0:
+        raise WorkloadError(f"n_instructions must be positive, got {n_instructions}")
+    rng = np.random.default_rng(seed)
+    dep1: list[int] = []
+    dep2: list[int] = []
+    latency: list[int] = []
+    chain_tail = NO_DEP
+    while len(latency) < n_instructions:
+        use_deep = (
+            profile.deep_variant is not None
+            and rng.random() < profile.deep_fraction
+        )
+        iteration = profile.deep_variant if use_deep else profile
+        chain_tail = _append_iteration(
+            iteration, rng, len(latency), chain_tail, dep1, dep2, latency
+        )
+    n = n_instructions
+    return InstructionTrace(
+        dep1=np.array(dep1[:n], dtype=np.int64),
+        dep2=np.array(dep2[:n], dtype=np.int64),
+        latency=np.array(latency[:n], dtype=np.int16),
+    )
+
+
+def cycle_schedule(config: MachineConfig, trace: InstructionTrace) -> MachineResult:
+    """Step the machine cycle by cycle.
+
+    Each cycle first dispatches in order, up to ``dispatch_width``,
+    while the window has a free entry (an entry frees the cycle after
+    its occupant issues), then issues the oldest ready instructions in
+    the window, up to ``issue_width``.  An instruction is ready once
+    every producer has completed (issue + latency).
+    """
+    n = len(trace)
+    producers = [
+        [p for p in deps if p != NO_DEP]
+        for deps in zip(trace.dep1.tolist(), trace.dep2.tolist())
+    ]
+    latency = trace.latency.tolist()
+    done_at = [0] * n  # completion cycle, valid once issued
+    issue = [-1] * n
+    window: list[int] = []  # dispatched, not yet issued, oldest first
+    dispatched = 0
+    cycle = 0
+    while dispatched < n or window:
+        for _ in range(config.dispatch_width):
+            if dispatched == n or len(window) == config.window:
+                break
+            window.append(dispatched)
+            dispatched += 1
+        selected = [
+            i for i in window
+            if all(issue[p] >= 0 and done_at[p] <= cycle for p in producers[i])
+        ][: config.issue_width]
+        for i in selected:
+            issue[i] = cycle
+            done_at[i] = cycle + latency[i]
+            window.remove(i)
+        cycle += 1
+    issue_times = np.array(issue, dtype=np.int64)
+    return MachineResult(
+        config=config,
+        n_instructions=n,
+        cycles=max(done_at) + 1,
+        issue_times=issue_times,
     )

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cache.config import HierarchyConfig
+from repro.cache.config import CacheGeometry, HierarchyConfig
 from repro.cache.hierarchy import AccessLevel, TwoLevelExclusiveCache
 from repro.errors import SimulationError
 
@@ -117,6 +118,67 @@ class TestBoundaryMove:
         # everything still resident somewhere in the structure
         for a in addrs:
             assert c.access(a) in (AccessLevel.L1, AccessLevel.L2)
+
+
+def _tiny_geometry() -> CacheGeometry:
+    """2 sets of 8 ways (4 increments of 2), so random blocks evict."""
+    from repro.tech.cacti import CacheIncrementTiming
+
+    return CacheGeometry(
+        n_increments=4,
+        ways_per_increment=2,
+        block_bytes=32,
+        increment_bytes=128,
+        increment_timing=CacheIncrementTiming(
+            bank_bytes=64, n_banks=2, associativity=1, block_bytes=32
+        ),
+    )
+
+
+_TINY = _tiny_geometry()
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), st.integers(0, 10 * _TINY.n_sets - 1)),
+        st.tuples(st.just("move"), st.integers(1, _TINY.n_increments - 1)),
+    ),
+    min_size=20,
+    max_size=300,
+)
+
+
+class TestBoundaryMovesAgainstMruLists:
+    """Random accesses interleaved with random boundary moves behave
+    like one MRU list per set of at most ``total_ways`` blocks, split at
+    the current ``l1_ways``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_STEPS, first=st.integers(1, _TINY.n_increments - 1))
+    def test_random_accesses_and_moves(self, steps, first):
+        config = HierarchyConfig(_TINY, first)
+        cache = TwoLevelExclusiveCache(config)
+        stacks: list[list[int]] = [[] for _ in range(_TINY.n_sets)]
+        for op, value in steps:
+            if op == "move":
+                config = HierarchyConfig(_TINY, value)
+                cache.move_boundary(config)
+            else:
+                stack = stacks[value % _TINY.n_sets]
+                if value in stack[: config.l1_ways]:
+                    expected = AccessLevel.L1
+                elif value in stack:
+                    expected = AccessLevel.L2
+                else:
+                    expected = AccessLevel.MISS
+                if value in stack:
+                    stack.remove(value)
+                stack.insert(0, value)
+                del stack[_TINY.total_ways :]
+                assert cache.access(value * _TINY.block_bytes) == expected
+            for s, stack in enumerate(stacks):
+                assert cache.resident_blocks(s) == (
+                    tuple(stack[: config.l1_ways]),
+                    tuple(stack[config.l1_ways :]),
+                )
 
 
 class TestLevelCounts:

@@ -94,14 +94,38 @@ class TestResize:
         assert s.resize(4) == []
         assert s.blocks == (2, 1)
 
-    def test_extend_lru(self):
-        s = LruSet(4)
-        s.insert_mru(1)
-        s.extend_lru([5, 6])
-        assert s.blocks == (1, 5, 6)
 
-    def test_extend_lru_overflow_rejected(self):
-        s = LruSet(2)
-        s.insert_mru(1)
+class TestRepartition:
+    def _pair(self, upper_tags, lower_tags, upper=4, lower=4):
+        """Two sets holding the given tags, most recent first."""
+        pair = LruSet(upper), LruSet(lower)
+        for lru_set, tags in zip(pair, (upper_tags, lower_tags)):
+            for tag in reversed(tags):
+                lru_set.insert_mru(tag)
+        return pair
+
+    def test_shrink_demotes_in_recency_order(self):
+        upper, lower = self._pair([1, 2, 3, 4], [5, 6])
+        upper.repartition(lower, 2, 6)
+        assert upper.blocks == (1, 2)
+        assert lower.blocks == (3, 4, 5, 6)
+        assert (upper.capacity, lower.capacity) == (2, 6)
+
+    def test_grow_promotes_in_recency_order(self):
+        upper, lower = self._pair([1, 2], [3, 4, 5], upper=2, lower=6)
+        upper.repartition(lower, 4, 4)
+        assert upper.blocks == (1, 2, 3, 4)
+        assert lower.blocks == (5,)
+
+    def test_tags_past_both_capacities_dropped(self):
+        upper, lower = self._pair([1, 2, 3, 4], [5, 6, 7, 8])
+        upper.repartition(lower, 2, 3)
+        assert upper.blocks == (1, 2)
+        assert lower.blocks == (3, 4, 5)
+
+    @pytest.mark.parametrize("capacities", [(0, 4), (4, 0)])
+    def test_non_positive_capacity_rejected(self, capacities):
+        upper, lower = self._pair([1], [])
         with pytest.raises(SimulationError):
-            s.extend_lru([5, 6])
+            upper.repartition(lower, *capacities)
+

@@ -1,5 +1,6 @@
-"""Tests for the out-of-order machine: hand-checked schedules, and
-equivalence with the two-heap scheduler it replaced."""
+"""Tests for the out-of-order machine: hand-checked schedules,
+equivalence with the two-heap scheduler it replaced, and equivalence
+with a cycle-by-cycle model of the queue."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from repro.errors import SimulationError
 from repro.ooo.machine import MachineConfig, OutOfOrderMachine, run_window_sweep
 from repro.ooo.memory import CacheMemorySystem
 from repro.workloads.instruction_trace import NO_DEP, InstructionTrace
-from tests.oracles import heap_schedule
+from tests.oracles import cycle_schedule, heap_schedule
 
 
 def _trace(deps1, deps2, lats):
@@ -170,6 +171,32 @@ class TestMemorySystem:
         assert np.array_equal(fast.issue_times, slow.issue_times)
         assert fast.cycles == slow.cycles
 
+    def test_memory_run_leaves_the_trace_untouched(self):
+        """A run with a memory system resolves load latencies on a copy:
+        a later plain run of the same trace matches a fresh trace's."""
+        from repro.workloads.instruction_trace import (
+            attach_memory_trace,
+            generate_instruction_trace,
+        )
+        from repro.workloads.suite import get_profile
+
+        profile = get_profile("swim")
+
+        def fresh():
+            trace = generate_instruction_trace(profile.ilp, 2000, 1)
+            return attach_memory_trace(trace, profile.memory, 2)
+
+        machine = OutOfOrderMachine(MachineConfig(window=32))
+        trace = fresh()
+        memory = CacheMemorySystem(l1_increments=1)
+        with_memory = machine.run(trace, memory_system=memory)
+        plain = machine.run(trace)
+        expected = machine.run(fresh())
+        assert with_memory.cycles != plain.cycles
+        assert np.array_equal(plain.issue_times, expected.issue_times)
+        assert plain.cycles == expected.cycles
+        assert trace.columns == fresh().columns
+
 
 @st.composite
 def _dependence_traces(draw):
@@ -228,3 +255,40 @@ class TestEquivalenceWithHeapOracle:
             slow = heap_schedule(config, trace)
             assert np.array_equal(fast.issue_times, slow.issue_times), window
             assert fast.cycles == slow.cycles, window
+
+
+class TestEquivalenceWithCycleModel:
+    """The greedy list scheduler must issue every instruction in the
+    same cycle as a machine stepped cycle by cycle: in-order dispatch
+    into free window entries, then oldest-first select."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        trace=_dependence_traces(),
+        window=st.one_of(st.integers(1, 16), st.integers(1, 160)),
+        issue_width=st.integers(1, 8),
+        dispatch_width=st.integers(1, 8),
+    )
+    def test_random_dependence_traces(
+        self, trace, window, issue_width, dispatch_width
+    ):
+        config = MachineConfig(
+            window=window, issue_width=issue_width, dispatch_width=dispatch_width
+        )
+        fast = OutOfOrderMachine(config).run(trace)
+        slow = cycle_schedule(config, trace)
+        assert np.array_equal(fast.issue_times, slow.issue_times)
+        assert fast.cycles == slow.cycles
+
+    @pytest.mark.parametrize("window", [16, 64, 128])
+    def test_generated_trace(self, window):
+        from repro.workloads.instruction_trace import generate_instruction_trace
+        from repro.workloads.suite import get_profile
+
+        profile = get_profile("swim")
+        trace = generate_instruction_trace(profile.ilp, 3000, profile.seed)
+        config = MachineConfig(window=window)
+        fast = OutOfOrderMachine(config).run(trace)
+        slow = cycle_schedule(config, trace)
+        assert np.array_equal(fast.issue_times, slow.issue_times)
+        assert fast.cycles == slow.cycles

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads.address_trace import generate_address_trace
@@ -12,6 +12,8 @@ from repro.workloads.instruction_trace import (
     generate_instruction_trace,
 )
 from repro.workloads.profiles import IlpProfile, MemoryProfile, loop, uniform
+from repro.workloads.suite import queue_study_profiles
+from tests.oracles import scalar_instruction_trace
 
 
 def _profile(**kw):
@@ -140,6 +142,93 @@ class TestInstructionTraceGenerator:
     def test_rejects_empty(self, simple_ilp_profile):
         with pytest.raises(WorkloadError):
             generate_instruction_trace(simple_ilp_profile, 0, 1)
+
+
+_EDGE_FRACTIONS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _ilp_profiles(draw, with_variant=True):
+    """Random shapes: recurrence_ops 0, ``block_size`` or between, depth
+    up to ``block_size`` (so often past the layered body), and edge
+    probabilities; half of them with a deep variant."""
+    block = draw(st.integers(1, 40))
+    variant = None
+    deep_fraction = 0.0
+    if with_variant and draw(st.booleans()):
+        variant = draw(_ilp_profiles(with_variant=False))
+        deep_fraction = draw(
+            st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+        )
+    return IlpProfile(
+        block_size=block,
+        depth=draw(st.integers(1, block)),
+        recurrence_ops=draw(
+            st.one_of(st.just(0), st.just(block), st.integers(0, block))
+        ),
+        recurrence_latency=draw(st.integers(1, 5)),
+        long_latency_fraction=draw(_EDGE_FRACTIONS),
+        long_latency_cycles=draw(st.integers(1, 20)),
+        second_dep_probability=draw(_EDGE_FRACTIONS),
+        deep_variant=variant,
+        deep_fraction=deep_fraction,
+    )
+
+
+@st.composite
+def _profiles_and_lengths(draw):
+    """A random profile and a length inside its first iteration or
+    anywhere in a later one."""
+    profile = draw(_ilp_profiles())
+    n = draw(st.one_of(st.integers(1, profile.block_size), st.integers(1, 2000)))
+    return profile, n
+
+
+def _assert_same_trace(fast, slow):
+    for name in ("dep1", "dep2", "latency"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestEquivalenceWithScalarOracle:
+    """The numpy generator must emit the scalar generator's trace
+    byte for byte, from the same PCG64 stream."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_profiles_and_lengths(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(IlpProfile(block_size=8, depth=8, recurrence_ops=8), 20), seed=3)
+    @example(
+        case=(
+            IlpProfile(
+                block_size=6, depth=5, recurrence_ops=3, long_latency_fraction=1.0,
+                second_dep_probability=1.0,
+                deep_variant=IlpProfile(
+                    block_size=9, depth=4, long_latency_fraction=0.0,
+                    second_dep_probability=0.0,
+                ),
+                deep_fraction=1.0,
+            ),
+            31,
+        ),
+        seed=5,
+    )
+    def test_random_profiles(self, case, seed):
+        profile, n = case
+        _assert_same_trace(
+            generate_instruction_trace(profile, n, seed),
+            scalar_instruction_trace(profile, n, seed),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_suite_at_paper_sizing(self, seed):
+        from repro.experiments.queue_study import DEFAULT_N_INSTRUCTIONS
+
+        for profile in queue_study_profiles():
+            _assert_same_trace(
+                generate_instruction_trace(profile.ilp, DEFAULT_N_INSTRUCTIONS, seed),
+                scalar_instruction_trace(profile.ilp, DEFAULT_N_INSTRUCTIONS, seed),
+            )
 
 
 class TestTraceSliceAndConcat:
