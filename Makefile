@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-engine bench-figures bench-lint bench-smoke obs-check resilience-check robust-check service-smoke loadtest-smoke chaos-smoke distributed-smoke lint lint-graph typecheck ruff check figures examples clean
+.PHONY: install test bench bench-engine bench-figures bench-lint bench-smoke ledger obs-check resilience-check robust-check service-smoke loadtest-smoke chaos-smoke distributed-smoke lint lint-graph typecheck ruff check figures examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -29,6 +29,12 @@ bench-figures:
 # digests, every wrapped entry point, every metric printed with its unit.
 bench-smoke:
 	$(PYTHON) -m pytest perfbench/test_smoke.py -q
+
+# The engine's performance trajectory: perfbench on all four workloads,
+# untraced and traced (seed 0, 15 s each), one record per run appended
+# to BENCH_engine.json.  About eight minutes.
+ledger:
+	$(PYTHON) scripts/ledger.py
 
 # Tiny traced sweep, every record validated against the trace schema
 # (PYTHONPATH=src so it works from a bare checkout too).

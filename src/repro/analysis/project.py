@@ -818,12 +818,6 @@ class ProjectContext:
             self._graph = CallGraph.build(self)
         return self._graph
 
-    def summary_for_path(self, display_path: str) -> ModuleSummary | None:
-        for summary in self.modules.values():
-            if summary.display_path == display_path:
-                return summary
-        return None
-
     def iter_functions(self) -> Iterator[tuple[ModuleSummary, FunctionInfo]]:
         for summary in self.modules.values():
             for fn in summary.functions:

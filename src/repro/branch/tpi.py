@@ -83,12 +83,3 @@ class BranchTpiModel:
         return {
             s: self.evaluate(profile, s, n_branches) for s in self.timing.sizes
         }
-
-    def best_size(
-        self, profile: BranchProfile, n_branches: int = 20_000
-    ) -> BranchBreakdown:
-        """The TPI-minimising table size."""
-        return min(
-            self.sweep_breakdowns(profile, n_branches).values(),
-            key=lambda b: b.tpi_ns,
-        )

@@ -9,6 +9,9 @@ Because caching is exclusive and the index/tag mapping is constant,
 moving the boundary needs **no cleanup**: increments change designation
 without invalidating or transferring data (paper Section 5.2).  Only the
 clock changes, so the reconfiguration cost is exactly one clock switch.
+The simulator is built on first simulation; until then
+:meth:`reconfigure` only records the boundary, because moving an empty
+hierarchy's boundary changes designation, not contents.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ class AdaptiveCacheHierarchy(ComplexityAdaptiveStructure[int]):
         self.geometry = geometry
         self.timing = timing if timing is not None else CacheTimingModel(geometry=geometry)
         self._boundaries = geometry.boundary_positions(max_l1_increments)
-        self._cache = TwoLevelExclusiveCache(
-            HierarchyConfig(geometry=geometry, l1_increments=initial_l1_increments)
-        )
+        #: Worst-case delay of every designed boundary, fixed at design time.
+        self._delays = {k: self.timing.l1_access_time_ns(k) for k in self._boundaries}
+        self._config = HierarchyConfig(geometry, initial_l1_increments)
+        self._cache: TwoLevelExclusiveCache | None = None
 
     # -- ComplexityAdaptiveStructure interface ---------------------------
 
@@ -62,13 +66,14 @@ class AdaptiveCacheHierarchy(ComplexityAdaptiveStructure[int]):
 
     def delay_ns(self, config: int) -> float:
         """Critical-path delay = slowest enabled L1 increment access."""
-        self.validate(config)
-        return self.timing.l1_access_time_ns(config)
+        if config not in self._delays:
+            self.validate(config)
+        return self._delays[config]
 
     @property
     def configuration(self) -> int:
         """Current number of L1 increments."""
-        return self._cache.config.l1_increments
+        return self._config.l1_increments
 
     def reconfigure(self, config: int) -> ReconfigurationCost:
         """Move the boundary; data stays put, only the clock may change."""
@@ -81,16 +86,18 @@ class AdaptiveCacheHierarchy(ComplexityAdaptiveStructure[int]):
         metrics().counter(
             "repro_reconfigurations_total", "CAS reconfigure() calls"
         ).inc(structure=self.name, changed=str(changed).lower())
-        self._cache.move_boundary(
-            HierarchyConfig(geometry=self.geometry, l1_increments=config)
-        )
+        self._config = HierarchyConfig(self.geometry, config)
+        if self._cache is not None:
+            self._cache.move_boundary(self._config)
         return ReconfigurationCost(cleanup_cycles=0, requires_clock_switch=changed)
 
     # -- simulation passthrough ------------------------------------------
 
     @property
     def hierarchy(self) -> TwoLevelExclusiveCache:
-        """The underlying direct simulator."""
+        """The underlying direct simulator, built on first use."""
+        if self._cache is None:
+            self._cache = TwoLevelExclusiveCache(self._config)
         return self._cache
 
     def run(
@@ -107,7 +114,7 @@ class AdaptiveCacheHierarchy(ComplexityAdaptiveStructure[int]):
             structure=self.name, configuration=self.configuration,
             n_events=len(addresses),
         ):
-            levels = self._cache.run(addresses)
+            levels = self.hierarchy.run(addresses)
         metrics().counter(
             "repro_structure_runs_total", "adaptive-structure run() calls"
         ).inc(structure=self.name)

@@ -99,10 +99,11 @@ class StructureSweep(Protocol):
 
 
 def best_sweep_result(results: Mapping[int, SweepResult]) -> SweepResult:
-    """The TPI-minimising point of a sweep (shared `best` helper)."""
+    """The TPI-minimising point of a sweep (shared `best` helper); a tie
+    goes to the smallest configuration, whatever the mapping's order."""
     if not results:
         raise ReproError("cannot pick the best point of an empty sweep")
-    return min(results.values(), key=lambda r: r.tpi_ns)
+    return min(results.values(), key=lambda r: (r.tpi_ns, r.config))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ combining three ingredients:
 
 Entries are JSON files under ``<cache_dir>/<key[:2]>/<key>.json``,
 written atomically (temp file + rename) so concurrent engines sharing a
-cache directory never observe torn entries.  Every entry records a
-SHA-256 **checksum of its payload**; an entry that is unreadable, not
-valid JSON, or whose payload no longer matches its checksum is
+cache directory never observe torn entries.  Every entry stores its
+payload as canonical JSON text with a SHA-256 **checksum of that text**;
+an entry that is unreadable, not valid JSON, or whose payload text no
+longer matches its checksum or parses to no JSON object is
 *corrupt*: it is logged, counted on the
 ``repro_engine_cache_corrupt_total`` metric, moved into the
 ``<cache_dir>/quarantine/`` directory for post-mortem inspection, and
@@ -39,8 +40,9 @@ from repro.errors import CacheCorruptionError
 from repro.obs.metrics import metrics
 
 #: Bump when the stored entry layout changes; old entries become misses.
-#: Version 2 added the payload checksum.
-CACHE_SCHEMA_VERSION: int = 2
+#: Version 2 added the payload checksum; version 3 stores the payload as
+#: its canonical JSON text and checksums that text.
+CACHE_SCHEMA_VERSION: int = 3
 
 _LOG = logging.getLogger("repro.engine.cache")
 
@@ -86,26 +88,48 @@ def technology_fingerprint() -> dict:
     }
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(document: Mapping[str, Any]) -> str:
     """Stable serialisation used for hashing (sorted keys, no spaces)."""
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(document)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class CellKeyer:
+    """Cell keys under one technology fingerprint, serialized once.
+
+    A key is the SHA-256 hex of ``canonical_json({"kind": …, "spec": …,
+    "tech": fingerprint})``.  Sorted keys put ``tech`` last, so each key
+    splices the fingerprint's text after the cell's kind and spec.
+    """
+
+    __slots__ = ("fingerprint", "_tail")
+
+    def __init__(self, fingerprint: Mapping[str, Any] | None = None) -> None:
+        self.fingerprint = (
+            dict(fingerprint) if fingerprint is not None else technology_fingerprint()
+        )
+        self._tail = ',"tech":' + canonical_json(self.fingerprint) + "}"
+
+    def key(self, cell: SweepCell) -> str:
+        """SHA-256 hex over one cell's identity text."""
+        head = '{"kind":' + json.dumps(cell.kind) + ',"spec":'
+        return _sha256(head + canonical_json(dict(cell.spec)) + self._tail)
 
 
 def cell_key(cell: SweepCell, fingerprint: Mapping[str, Any] | None = None) -> str:
     """Content-address of one cell: SHA-256 hex over its identity."""
-    if fingerprint is None:
-        fingerprint = technology_fingerprint()
-    identity = {
-        "tech": dict(fingerprint),
-        "kind": cell.kind,
-        "spec": dict(cell.spec),
-    }
-    return hashlib.sha256(canonical_json(identity).encode("utf-8")).hexdigest()
+    return CellKeyer(fingerprint).key(cell)
 
 
 def payload_checksum(payload: Mapping[str, Any]) -> str:
     """Integrity checksum of one entry's payload (SHA-256 hex)."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return _sha256(canonical_json(payload))
 
 
 @dataclass(frozen=True)
@@ -130,16 +154,16 @@ class ResultCache:
         self.cache_dir = Path(cache_dir)
         # The fingerprint is captured once per cache handle; rebuilding
         # the handle (one per engine) re-reads the live constants.
-        self._fingerprint = technology_fingerprint()
+        self._keyer = CellKeyer()
 
     @property
     def fingerprint(self) -> dict:
         """The technology fingerprint captured by this handle."""
-        return self._fingerprint
+        return self._keyer.fingerprint
 
     def key(self, cell: SweepCell) -> str:
         """Cache key of one cell under this handle's fingerprint."""
-        return cell_key(cell, self._fingerprint)
+        return self._keyer.key(cell)
 
     def path(self, key: str) -> Path:
         """Where the entry for ``key`` lives (two-level fan-out)."""
@@ -154,9 +178,9 @@ class ResultCache:
         """The cached payload for ``key``, or ``None`` on any miss.
 
         A missing entry or one from an older schema version is a plain
-        miss.  A *corrupt* entry — unreadable, not JSON, payload
-        missing, or checksum mismatch — is logged, counted on
-        ``repro_engine_cache_corrupt_total`` and quarantined; with
+        miss.  A *corrupt* entry — unreadable, not JSON, checksum
+        mismatch, or payload text that is no JSON object — is logged,
+        counted on ``repro_engine_cache_corrupt_total`` and quarantined; with
         ``strict=False`` (the default) it then reads as a miss so the
         cell is recomputed, with ``strict=True`` it raises
         :class:`~repro.errors.CacheCorruptionError` instead.
@@ -192,12 +216,15 @@ class ResultCache:
             return None, "entry is not a JSON object"
         if entry.get("schema") != CACHE_SCHEMA_VERSION:
             return None, "stale"
-        payload = entry.get("payload")
-        if not isinstance(payload, dict):
-            return None, "entry has no payload object"
-        recorded = entry.get("checksum")
-        if recorded != payload_checksum(payload):
+        text, recorded = entry.get("payload"), entry.get("checksum")
+        if not isinstance(text, str) or recorded != _sha256(text):
             return None, f"payload checksum mismatch (recorded {recorded!r})"
+        try:
+            payload = json.loads(text)
+        except ValueError:
+            payload = None
+        if not isinstance(payload, dict):
+            return None, "payload text is not a JSON object"
         return payload, None
 
     def _corrupt(self, key: str, path: Path, reason: str, strict: bool) -> None:
@@ -269,13 +296,13 @@ class ResultCache:
         """Atomically persist one cell's payload."""
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = dict(payload)
+        text = canonical_json(dict(payload))
         entry = {
             "schema": CACHE_SCHEMA_VERSION,
             "kind": cell.kind,
             "spec": dict(cell.spec),
-            "payload": payload,
-            "checksum": payload_checksum(payload),
+            "payload": text,
+            "checksum": _sha256(text),
         }
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent

@@ -181,11 +181,6 @@ class ExperimentEngine:
         """The active result cache, if any."""
         return self._cache
 
-    @property
-    def sweep_journal(self) -> SweepJournal | None:
-        """The active checkpoint journal, if any."""
-        return self._journal
-
     def invalidate_cache(self, kind: str | None = None) -> int:
         """Drop cached results (all, or one cell kind); returns count."""
         if self._cache is None:

@@ -88,12 +88,6 @@ class DegradationCell:
         """Fraction of fault-free oracle performance retained (<= 1)."""
         return self.oracle_tpi_ns / self.final_tpi_ns
 
-    @property
-    def control_gap(self) -> float:
-        """Loss attributable to noisy control rather than dead hardware:
-        final TPI relative to the degraded machine's own ceiling."""
-        return self.final_tpi_ns / self.degraded_oracle_tpi_ns - 1.0
-
 
 @dataclass(frozen=True)
 class DegradationStudy:
@@ -102,10 +96,6 @@ class DegradationStudy:
     cells: tuple[DegradationCell, ...]
     seed: int
     n_rounds: int
-
-    def for_structure(self, structure: str) -> tuple[DegradationCell, ...]:
-        """Every grid cell of one structure."""
-        return tuple(c for c in self.cells if c.structure == structure)
 
     def worst_retained(self) -> float:
         """The worst retained fraction anywhere in the grid."""

@@ -235,24 +235,3 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "repro_service_warm_rejections_total",
     }
 )
-
-
-def is_registered_span(name: str) -> bool:
-    """Whether ``name`` is a declared span name."""
-    return name in SPAN_NAMES
-
-
-def is_registered_event(name: str) -> bool:
-    """Whether ``name`` is a declared ``<area>.<event>`` event name."""
-    return name in EVENT_NAMES
-
-
-def is_registered_metric(name: str) -> bool:
-    """Whether ``name`` is a declared counter/gauge/histogram name."""
-    return name in METRIC_NAMES
-
-
-def event_area(name: str) -> str | None:
-    """The ``<area>`` of an event name, or ``None`` if it has no dot."""
-    area, _, rest = name.partition(".")
-    return area if rest else None

@@ -36,12 +36,8 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import get_context
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.engine.cells import SweepCell
 from repro.errors import FatalError
@@ -49,6 +45,9 @@ from repro.obs.metrics import metrics
 from repro.obs.stitch import TraceContext
 from repro.resilience.faults import FaultPlan, evaluate_chunk_with_faults
 from repro.resilience.policy import RetryPolicy
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 #: One chunk's results: (payload, wall_s) per cell, in cell order.
 ChunkResult = list[tuple[dict, float]]
@@ -134,6 +133,13 @@ class ResilientExecutor:
 
     def _run_pooled(self, chunks, pending, attempts, results, on_chunk_done) -> bool:
         """One pool's lifetime; returns whether it died (crash or hang)."""
+        # Imported here, not at module level: a serial run (and every
+        # CLI start) never loads the process-pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
+        from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing import get_context
+
         pool = ProcessPoolExecutor(
             max_workers=min(self.jobs, len(pending)),
             mp_context=get_context("spawn"),

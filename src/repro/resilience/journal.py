@@ -32,7 +32,7 @@ import os
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.engine.cache import canonical_json, cell_key, technology_fingerprint
+from repro.engine.cache import CellKeyer, canonical_json
 from repro.engine.cells import SweepCell
 
 #: Bump when the record layout changes; old records are ignored on load.
@@ -52,15 +52,13 @@ class SweepJournal:
     ) -> None:
         self.path = Path(path)
         self.fsync = fsync
-        # Captured once per handle, mirroring ResultCache: an engine's
-        # cache and journal agree on every key.
-        self._fingerprint = (
-            dict(fingerprint) if fingerprint is not None else technology_fingerprint()
-        )
+        # Captured and serialized once per handle, mirroring
+        # ResultCache: an engine's cache and journal agree on every key.
+        self._keyer = CellKeyer(fingerprint)
 
     def key(self, cell: SweepCell) -> str:
         """Content address of one cell under this handle's fingerprint."""
-        return cell_key(cell, self._fingerprint)
+        return self._keyer.key(cell)
 
     def record(
         self, key: str, cell: SweepCell, payload: Mapping[str, Any], wall_s: float

@@ -56,7 +56,7 @@ from typing import Any, Callable
 
 from repro.api.query import request_cell
 from repro.api.types import OptimizationRequest
-from repro.engine.cache import cell_key, technology_fingerprint
+from repro.engine.cache import CellKeyer
 from repro.engine.cells import SweepCell
 from repro.engine.engine import ExperimentEngine
 from repro.errors import (
@@ -153,9 +153,10 @@ class SweepBroker:
         self._batch_task: asyncio.Task | None = None
         self._requeue_tasks: set[asyncio.Task] = set()
         self._closed = False
-        # Captured once: deriving the timing tables per request would
-        # dominate the cost of a warm hit.
-        self._fingerprint = technology_fingerprint()
+        #: Cell identity of every job, under a fingerprint captured and
+        #: serialized once: deriving the timing tables per request would
+        #: dominate the cost of a warm hit.
+        self.keyer = CellKeyer()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -251,7 +252,7 @@ class SweepBroker:
             # Re-derived under the *current* fingerprint — a journal
             # from before a recalibration resurrects the question,
             # never a stale answer.
-            key = cell_key(cell, self._fingerprint)
+            key = self.keyer.key(cell)
             job = Job(
                 job_id=entry.job_id,
                 tenant=entry.tenant,
@@ -309,7 +310,7 @@ class SweepBroker:
         if self._closed or self._batch_task is None:
             raise ServiceError("service is shutting down; submit rejected")
         cell = request_cell(request)  # ApiError before any quota spend
-        key = cell_key(cell, self._fingerprint)
+        key = self.keyer.key(cell)
 
         idem_key: str | None = None
         if idempotency_key is not None:

@@ -11,7 +11,10 @@ for bit:
   :class:`repro.ooo.machine.OutOfOrderMachine`;
 * :func:`scalar_instruction_trace` emits one instruction per Python
   step, the reference for
-  :func:`repro.workloads.instruction_trace.generate_instruction_trace`.
+  :func:`repro.workloads.instruction_trace.generate_instruction_trace`;
+* :func:`document_cell_key` serializes a cell's whole identity
+  document, the reference for the spliced keys of
+  :class:`repro.engine.cache.CellKeyer`.
 
 :func:`cycle_schedule` is not a replaced implementation but a direct
 model of the machine: it steps the queue cycle by cycle, so it checks
@@ -20,12 +23,16 @@ the greedy list scheduler's reasoning rather than its bookkeeping.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
+from typing import Any, Mapping
 
 import numpy as np
 
 from repro.cache.config import CacheGeometry
 from repro.cache.stackdist import COLD_DEPTH
+from repro.engine.cells import SweepCell
 from repro.errors import SimulationError, WorkloadError
 from repro.ooo.machine import MachineConfig, MachineResult
 from repro.workloads.instruction_trace import NO_DEP, InstructionTrace
@@ -327,3 +334,12 @@ def cycle_schedule(config: MachineConfig, trace: InstructionTrace) -> MachineRes
         cycles=max(done_at) + 1,
         issue_times=issue_times,
     )
+
+
+def document_cell_key(cell: SweepCell, fingerprint: Mapping[str, Any]) -> str:
+    """SHA-256 hex of the canonical JSON (sorted keys, no spaces) of
+    ``{"tech": fingerprint, "kind": kind, "spec": spec}``, encoded in one
+    piece."""
+    identity = {"tech": dict(fingerprint), "kind": cell.kind, "spec": dict(cell.spec)}
+    text = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

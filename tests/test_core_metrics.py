@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.metrics import (
+    SweepResult,
     TpiComparison,
+    best_sweep_result,
     geometric_mean,
     reduction_percent,
     speedup,
@@ -83,3 +85,16 @@ class TestTpiComparison:
     def test_rejects_empty(self):
         with pytest.raises(ReproError):
             TpiComparison("TPI", {}, {})
+
+
+class TestBestSweepResult:
+    def test_a_tie_goes_to_the_smallest_configuration_in_any_order(self):
+        # Payloads read back from JSON text come in sorted key order
+        # ("128" < "16" < "64"), computed ones in ascending configuration.
+        points = {
+            c: SweepResult(config=c, tpi_ns=tpi, ipc=1.0, cycle_time_ns=1.0)
+            for c, tpi in ((16, 2.0), (64, 1.5), (128, 1.5))
+        }
+        for order in ((16, 64, 128), (128, 16, 64)):
+            ordered = {c: points[c] for c in order}
+            assert best_sweep_result(ordered).config == 64

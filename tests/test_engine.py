@@ -18,10 +18,18 @@ per-structure ``sweep`` entry points.
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro
+import repro.engine.cache as cache_module
+from repro.api import OptimizationRequest, request_cell, request_cell_key
 from repro.branch.predictors import PredictorKind
 from repro.core.metrics import StructureSweep, SweepResult
 from repro.core.structure import StructureRunResult
@@ -46,7 +54,10 @@ from repro.engine.sweeps import (
 )
 from repro.errors import EngineError
 from repro.obs import Tracer, summarize_trace, validate_trace
-from repro.workloads.suite import get_profile
+from repro.resilience import SweepJournal
+from repro.service.broker import SweepBroker
+from repro.workloads.suite import all_profiles, get_profile
+from tests.oracles import document_cell_key
 
 #: Deliberately small traces: every test below re-simulates cells.
 N_REFS, WARMUP = 6_000, 2_000
@@ -204,6 +215,104 @@ def test_cell_key_mixes_kind_and_spec():
     a = cache_tpi_cell(compress, N_REFS, WARMUP, (1, 2))
     b = cache_tpi_cell(compress, N_REFS, WARMUP, (1, 2, 4))
     assert cell_key(a, fingerprint) != cell_key(b, fingerprint)
+
+
+def test_warm_load_never_re_encodes_the_payload(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    cell = _mixed_cells()[0]
+    key = cache.key(cell)
+    payload = {"breakdowns": {"1": {"tpi_ns": 1.25, "l1_increments": 1}}}
+    cache.store(key, cell, payload)
+    calls: list[object] = []
+    monkeypatch.setattr(cache_module, "canonical_json", calls.append)
+    assert cache.load(key) == payload
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# cell keys: the spliced identity text is the whole document's, byte for byte
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def key_holders(tmp_path_factory):
+    """Every holder that keys cells, all under one captured fingerprint."""
+    root = tmp_path_factory.mktemp("keys")
+    cache = ResultCache(root / "cache")
+    fingerprint = cache.fingerprint
+    broker = SweepBroker(engine=ExperimentEngine())
+    assert broker.keyer.fingerprint == fingerprint
+    journal = SweepJournal(root / "sweep.journal", fingerprint=fingerprint)
+    return fingerprint, {
+        "ResultCache.key": cache.key,
+        "cell_key": lambda cell: cell_key(cell, fingerprint),
+        "SweepJournal.key": journal.key,
+        "SweepBroker.keyer": broker.keyer.key,
+    }
+
+
+def test_every_suite_cell_key_equals_the_document_key(key_holders):
+    fingerprint, holders = key_holders
+    cells = [
+        sweep.cell(profile)
+        for sweep in all_structure_sweeps()
+        for profile in all_profiles()
+    ]
+    assert len(cells) == 88
+    for cell in cells:
+        expected = document_cell_key(cell, fingerprint)
+        for name, key in holders.items():
+            assert key(cell) == expected, name
+    # A fingerprint re-derived from the live constants keys alike.
+    assert cell_key(cells[0]) == document_cell_key(cells[0], fingerprint)
+    for structure, app in (
+        ("dcache", "compress"), ("iqueue", "swim"), ("tlb", "li"), ("bpred", "go"),
+    ):
+        request = OptimizationRequest(structure, app)
+        assert request_cell_key(request, fingerprint) == document_cell_key(
+            request_cell(request), fingerprint
+        )
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.text(min_size=1, max_size=16),
+    spec=st.dictionaries(st.text(max_size=10), _JSON_VALUES, max_size=6),
+)
+def test_generated_spec_keys_equal_the_document_key(key_holders, kind, spec):
+    fingerprint, holders = key_holders
+    cell = SweepCell(kind=kind, spec=spec)
+    expected = document_cell_key(cell, fingerprint)
+    for name, key in holders.items():
+        assert key(cell) == expected, name
+
+
+def test_figure_harness_imports_load_no_pool_loop_or_http_modules():
+    code = (
+        "import sys\n"
+        "import repro.experiments.cache_study, repro.experiments.queue_study\n"
+        "heavy = ('multiprocessing', 'concurrent', 'asyncio', 'http')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in heavy))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ the recovered results equal a fault-free run exactly:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -429,9 +430,27 @@ def test_checksum_mismatch_is_corruption_even_when_json_is_valid(tmp_path):
     key = cache.key(cells[0])
     cache.store(key, cells[0], {"tpi": [1.0]})
     entry = json.loads(cache.path(key).read_text())
-    entry["payload"]["tpi"] = [99.0]  # bit-flip the payload, keep the checksum
+    # Change one digit of the stored payload text, keep the checksum.
+    tampered = entry["payload"].replace("1.0", "9.0")
+    assert tampered != entry["payload"]
+    entry["payload"] = tampered
     cache.path(key).write_text(json.dumps(entry))
     assert cache.load(key) is None
+    assert cache.quarantined() == 1
+
+
+@pytest.mark.parametrize("text", ['{"tpi": [1.0', "[1.0, 2.0]"])
+def test_checksummed_payload_text_must_parse_to_an_object(tmp_path, text):
+    cache = ResultCache(tmp_path / "cache")
+    cells = _small_cells(1)
+    key = cache.key(cells[0])
+    cache.store(key, cells[0], {"tpi": [1.0]})
+    entry = json.loads(cache.path(key).read_text())
+    entry["payload"] = text
+    entry["checksum"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    cache.path(key).write_text(json.dumps(entry))
+    with pytest.raises(CacheCorruptionError):
+        cache.load(key, strict=True)
     assert cache.quarantined() == 1
 
 
@@ -460,6 +479,34 @@ def test_old_schema_entries_are_stale_misses_not_corruption(tmp_path):
     report = cache.verify()
     assert (report.total, report.stale, report.corrupt) == (1, 1, ())
     assert report.healthy
+
+
+def test_schema_2_entries_are_stale_misses_overwritten_by_the_recompute(tmp_path):
+    cells = _small_cells(1)
+    engine = ExperimentEngine(jobs=1, cache_dir=tmp_path / "cache")
+    cache = engine.cache
+    key = cache.key(cells[0])
+    path = cache.path(key)
+    path.parent.mkdir(parents=True)
+    # The schema-2 layout: the payload object itself, checksummed.
+    old_payload = {"tpi": [123.0]}
+    path.write_text(json.dumps({
+        "schema": 2,
+        "kind": cells[0].kind,
+        "spec": dict(cells[0].spec),
+        "payload": old_payload,
+        "checksum": payload_checksum(old_payload),
+    }))
+    before = _counter("repro_engine_cache_corrupt_total")
+    assert cache.load(key) is None
+    [payload] = engine.map(cells)
+    assert engine.stats.cache_misses == 1
+    assert cache.quarantined() == 0
+    assert _counter("repro_engine_cache_corrupt_total") == before
+    entry = json.loads(path.read_text())
+    assert entry["schema"] == CACHE_SCHEMA_VERSION
+    assert json.loads(entry["payload"]) == payload != old_payload
+    assert cache.load(key) == payload
 
 
 def test_verify_sweeps_the_whole_cache(tmp_path):
