@@ -36,24 +36,21 @@ bench-smoke:
 ledger:
 	$(PYTHON) scripts/ledger.py
 
-# Tiny traced sweep, every record validated against the trace schema
-# (PYTHONPATH=src so it works from a bare checkout too).
+# Trace-schema tests: tiny traced sweeps, every record validated against
+# the trace schema, every adaptive-control level covered.
 obs-check:
-	PYTHONPATH=src $(PYTHON) -m repro obs check
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_schema.py
 
-# Drill every recovery path: injected crash/hang/transient/corruption
-# faults recovered byte-identically, plus an interrupted-then-resumed
-# journaled sweep (includes a real SIGKILL test).
+# Recovery-path tests: injected crash/hang/transient/corruption faults
+# recovered byte-identically, and a SIGKILLed sweep resumed from its
+# result cache with no finished cell recomputed.
 resilience-check:
-	PYTHONPATH=src $(PYTHON) -m repro resilience check
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_resilience.py
 
-# Degraded-hardware drill: seeded increment faults + sensor noise over
-# all four adaptive structures, watchdog recovery verified, plus the
-# robustness unit/property tests.
+# Degraded-hardware tests: seeded increment faults + sensor noise over
+# all four adaptive structures, watchdog recovery and the guardrail
+# counters verified, plus the robustness property tests.
 robust-check:
-	PYTHONPATH=src $(PYTHON) -m repro robust check
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_robust.py tests/test_robust_invariants.py
 
 # Boot `repro serve` on an ephemeral port, run one end-to-end query and

@@ -29,15 +29,13 @@ Observability (see docs/observability.md)::
     python -m repro figure 9 --trace t.jsonl --metrics m.prom --profile
     python -m repro obs summarize t.jsonl
     python -m repro obs critical-path t.jsonl --trace-id abc123
-    python -m repro obs check
 
-Fault tolerance (see docs/resilience.md)::
+Fault tolerance (see docs/resilience.md); a killed run re-run with the
+same ``--cache-dir`` recomputes only the cells it had not finished::
 
     python -m repro figure 9 --jobs 8 --retries 5 --timeout 120 \\
-        --journal fig9.journal
-    python -m repro figure 9 --jobs 8 --journal fig9.journal --resume
+        --cache-dir .repro-cache
     python -m repro cache-verify --cache-dir .repro-cache
-    python -m repro resilience check
 """
 
 from __future__ import annotations
@@ -368,16 +366,6 @@ def _engine_options(run_sinks: bool = True) -> argparse.ArgumentParser:
         help="per-chunk deadline in seconds; a chunk exceeding it is treated "
         "as a hung worker (default: no deadline)",
     )
-    res_group.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="durably record each completed cell to PATH so an interrupted "
-        "sweep can be resumed",
-    )
-    res_group.add_argument(
-        "--resume", action="store_true",
-        help="serve cells already recorded in --journal instead of "
-        "recomputing them",
-    )
     obs_group = opts.add_argument_group("observability options")
     obs_group.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -398,28 +386,28 @@ def _engine_options(run_sinks: bool = True) -> argparse.ArgumentParser:
 
 
 def _engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
+    from repro.errors import EngineError
     from repro.resilience import RetryPolicy
 
-    if args.resume and not args.journal:
-        raise SystemExit("error: --resume requires --journal PATH")
-    retry = None
-    if args.retries is not None or args.timeout is not None:
-        defaults = RetryPolicy()
-        retry = RetryPolicy(
-            max_attempts=(
-                args.retries if args.retries is not None else defaults.max_attempts
-            ),
-            timeout_s=args.timeout,
+    try:
+        retry = None
+        if args.retries is not None or args.timeout is not None:
+            defaults = RetryPolicy()
+            retry = RetryPolicy(
+                max_attempts=(
+                    args.retries if args.retries is not None else defaults.max_attempts
+                ),
+                timeout_s=args.timeout,
+            )
+        return ExperimentEngine(
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            use_cache=not args.no_cache,
+            chunk_size=args.chunk_size,
+            retry=retry,
         )
-    return ExperimentEngine(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        chunk_size=args.chunk_size,
-        retry=retry,
-        journal=args.journal,
-        resume=args.resume,
-    )
+    except EngineError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 def _run_observed(
@@ -479,44 +467,6 @@ def _obs_critical_path(path: str, trace_id: str | None) -> int:
     return 0
 
 
-def _obs_check() -> int:
-    """Run a tiny traced sweep; validate every emitted record."""
-    import tempfile
-    from pathlib import Path
-
-    from repro.experiments.cache_study import figure8_9
-    from repro.obs import metrics, read_records, validate_trace
-    from repro.obs.trace import Tracer, span
-
-    with tempfile.TemporaryDirectory() as tmp:
-        trace_path = Path(tmp) / "obs-check.jsonl"
-        with Tracer(trace_path):
-            with span("obs_check", level="run"):
-                figure8_9(n_refs=4000, warmup_refs=1000)
-        records = read_records(trace_path)
-        validate_trace(records)  # raises on any malformed record
-    levels = {r["level"] for r in records if r["record"] == "span"}
-    needed = {"run", "interval", "candidate", "reconfigure", "engine"}
-    missing = needed - levels
-    if missing:
-        print(
-            f"obs check FAILED: missing span levels {sorted(missing)}",
-            file=sys.stderr,
-        )
-        return 1
-    if "repro_manager_decisions_total" not in metrics().to_prometheus():
-        print(
-            "obs check FAILED: registry missing repro_manager_decisions_total",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"obs check ok: {len(records)} records schema-valid, "
-        f"span levels: {', '.join(sorted(levels))}"
-    )
-    return 0
-
-
 def _cache_verify(cache_dir: str) -> int:
     """Integrity-check a result cache; exit non-zero if anything is corrupt."""
     from repro.engine.cache import ResultCache
@@ -531,127 +481,6 @@ def _cache_verify(cache_dir: str) -> int:
     for key in report.corrupt:
         print(f"  quarantined {key[:16]}… -> {cache.quarantine_dir}")
     return 0 if report.healthy else 1
-
-
-def _resilience_check() -> int:
-    """Prove the recovery paths on a tiny sweep; exit non-zero on drift.
-
-    Injects a worker crash, a hang, a transient exception and a corrupt
-    cache entry into a small batch and asserts the results stay
-    byte-identical to a fault-free run; then interrupts a journaled
-    sweep partway and verifies ``--resume`` re-executes only the
-    unfinished cells.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.branch.predictors import PredictorKind
-    from repro.engine.cells import (
-        branch_tpi_cell,
-        cache_tpi_cell,
-        queue_tpi_cell,
-        tlb_tpi_cell,
-    )
-    from repro.obs.metrics import metrics
-    from repro.resilience import FaultEvent, FaultPlan, RetryPolicy
-    from repro.workloads.suite import get_profile
-
-    compress, stereo = get_profile("compress"), get_profile("stereo")
-    cells = [
-        cache_tpi_cell(compress, 4_000, 1_000, (1, 2)),
-        tlb_tpi_cell(stereo, 4_000, 1_000),
-        queue_tpi_cell(compress, 1_000, (16, 32)),
-        branch_tpi_cell(stereo, PredictorKind.GSHARE, 1_000),
-    ]
-    baseline = ExperimentEngine(jobs=1).map(cells)
-
-    # One round per fault kind: a crash kills the whole pool and would
-    # re-queue co-pending chunks at attempt 1, skipping their attempt-0
-    # faults — separate rounds keep every injection deterministic.
-    policy = RetryPolicy(base_delay_s=0.01, timeout_s=5.0)
-    rounds = {
-        "crash": FaultPlan(events=(FaultEvent("crash", chunk=0, attempt=0),)),
-        "transient": FaultPlan(
-            events=(FaultEvent("transient", chunk=1, attempt=0),)
-        ),
-        "hang": FaultPlan(
-            events=(FaultEvent("hang", chunk=2, attempt=0, hang_s=60.0),)
-        ),
-    }
-    for name, plan in rounds.items():
-        faulted = ExperimentEngine(
-            jobs=2, chunk_size=1, retry=policy, fault_plan=plan
-        )
-        if faulted.map(cells) != baseline:
-            print(
-                f"resilience check FAILED: {name}-faulted run diverged "
-                "from the fault-free baseline",
-                file=sys.stderr,
-            )
-            return 1
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cache_dir = Path(tmp) / "cache"
-        ExperimentEngine(jobs=1, cache_dir=cache_dir).map(cells)  # warm
-        corrupting = ExperimentEngine(
-            jobs=1, cache_dir=cache_dir,
-            fault_plan=FaultPlan(events=(FaultEvent("corrupt_cache", chunk=0),)),
-        )
-        if corrupting.map(cells) != baseline:
-            print(
-                "resilience check FAILED: corrupt-cache run diverged",
-                file=sys.stderr,
-            )
-            return 1
-        if corrupting.stats.cache_misses != 1:
-            print(
-                "resilience check FAILED: corrupt entry was not recomputed "
-                f"(expected 1 miss, saw {corrupting.stats.cache_misses})",
-                file=sys.stderr,
-            )
-            return 1
-
-        journal = Path(tmp) / "sweep.journal"
-        interrupted = ExperimentEngine(jobs=1, journal=journal)
-        interrupted.map(cells[:2])  # "killed" after two cells
-        resumed = ExperimentEngine(jobs=1, journal=journal, resume=True)
-        if resumed.map(cells) != baseline:
-            print("resilience check FAILED: resumed run diverged", file=sys.stderr)
-            return 1
-        if resumed.stats.resumed != 2 or resumed.stats.cache_misses != 2:
-            print(
-                "resilience check FAILED: resume recomputed the wrong cells "
-                f"(resumed {resumed.stats.resumed}, computed "
-                f"{resumed.stats.cache_misses}; expected 2 and 2)",
-                file=sys.stderr,
-            )
-            return 1
-
-    reg = metrics()
-    counters = {
-        "repro_engine_retries_total",
-        "repro_engine_pool_respawns_total",
-        "repro_engine_chunk_timeouts_total",
-        "repro_engine_cache_corrupt_total",
-        "repro_engine_journal_resumed_total",
-    }
-    quiet = sorted(c for c in counters if reg.counter(c).value() == 0)
-    if quiet:
-        print(
-            f"resilience check FAILED: counters never fired: {quiet}",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        "resilience check ok: crash, hang, transient, cache corruption and "
-        "interrupt/resume all recovered byte-identically "
-        f"(retries={reg.counter('repro_engine_retries_total').value():.0f}, "
-        f"respawns={reg.counter('repro_engine_pool_respawns_total').value():.0f}, "
-        f"timeouts={reg.counter('repro_engine_chunk_timeouts_total').value():.0f}, "
-        f"corrupt={reg.counter('repro_engine_cache_corrupt_total').value():.0f}, "
-        f"resumed={reg.counter('repro_engine_journal_resumed_total').value():.0f})"
-    )
-    return 0
 
 
 def _degrade(args, engine: ExperimentEngine) -> None:
@@ -691,114 +520,6 @@ def _degrade(args, engine: ExperimentEngine) -> None:
         f"worst retained: {study.worst_retained():.1%}; "
         f"unrecovered regressions: {study.total_unrecovered()}"
     )
-
-
-def _robust_check() -> int:
-    """Prove the degraded-hardware paths; exit non-zero on any failure.
-
-    Runs the degradation study at 25% failed increments + 10% sensor
-    noise over all four structures, then directly exercises the
-    watchdog-fallback, thrash-lock and sensor-dropout paths, and
-    verifies the whole stack is deterministic under a fixed seed.
-    """
-    from repro.experiments.degradation_study import degradation_study
-    from repro.obs.metrics import metrics
-    from repro.robust import (
-        GuardrailConfig,
-        HardwareFaultModel,
-        NoisySensor,
-        SensorNoiseConfig,
-        ThrashDetector,
-    )
-
-    study = degradation_study(
-        fail_fractions=(0.25,), noise_fractions=(0.10,),
-        n_refs=2_000, warmup_refs=500,
-        n_instructions=1_000, n_branches=1_000,
-    )
-    if len(study.cells) != 4:
-        print("robust check FAILED: expected all four structures", file=sys.stderr)
-        return 1
-    if any(c.n_reachable >= c.n_designed for c in study.cells):
-        print(
-            "robust check FAILED: 25% fault injection masked nothing",
-            file=sys.stderr,
-        )
-        return 1
-    if study.total_unrecovered() != 0:
-        print(
-            f"robust check FAILED: {study.total_unrecovered()} TPI "
-            "regressions left unrecovered",
-            file=sys.stderr,
-        )
-        return 1
-    if not 0.0 < study.worst_retained() <= 1.0:
-        print(
-            f"robust check FAILED: nonsensical retained fraction "
-            f"{study.worst_retained()}",
-            file=sys.stderr,
-        )
-        return 1
-
-    again = degradation_study(
-        fail_fractions=(0.25,), noise_fractions=(0.10,),
-        n_refs=2_000, warmup_refs=500,
-        n_instructions=1_000, n_branches=1_000,
-    )
-    if again.cells != study.cells:
-        print(
-            "robust check FAILED: same-seed study runs diverged",
-            file=sys.stderr,
-        )
-        return 1
-
-    # Deterministic fault draw, dropout and thrash-lock paths.
-    model_a = HardwareFaultModel.seeded(7, {"dcache": 8}, 0.5)
-    model_b = HardwareFaultModel.seeded(7, {"dcache": 8}, 0.5)
-    if model_a.faults != model_b.faults or not model_a.faults:
-        print("robust check FAILED: seeded fault draw not deterministic",
-              file=sys.stderr)
-        return 1
-    sensor = NoisySensor(SensorNoiseConfig(dropout_rate=1.0), seed=1)
-    if sensor.read(0, 1.0) is not None:
-        print("robust check FAILED: full dropout still delivered a sample",
-              file=sys.stderr)
-        return 1
-    detector = ThrashDetector(GuardrailConfig(thrash_threshold=2, cooldown=4))
-    detector.record_switch(0)
-    detector.record_switch(1)
-    if not detector.locked(2) or detector.n_locks != 1:
-        print("robust check FAILED: thrash detector never locked",
-              file=sys.stderr)
-        return 1
-
-    reg = metrics()
-
-    def fired(name: str) -> float:  # labelled counters: sum every series
-        return sum(reg.counter(name).collect().values())
-
-    needed = {
-        "repro_robust_faults_injected_total",
-        "repro_robust_watchdog_regressions_total",
-        "repro_robust_watchdog_fallbacks_total",
-        "repro_robust_sensor_dropouts_total",
-        "repro_robust_thrash_locks_total",
-    }
-    quiet = sorted(c for c in needed if fired(c) == 0)
-    if quiet:
-        print(f"robust check FAILED: counters never fired: {quiet}",
-              file=sys.stderr)
-        return 1
-    worst = min(study.cells, key=lambda c: c.retained)
-    print(
-        "robust check ok: 25% faults + 10% noise; all four structures "
-        "completed, every TPI regression recovered "
-        f"(worst retained {worst.retained:.1%} on {worst.structure}; "
-        f"faults={fired('repro_robust_faults_injected_total'):.0f}, "
-        f"regressions={fired('repro_robust_watchdog_regressions_total'):.0f}, "
-        f"fallbacks={fired('repro_robust_watchdog_fallbacks_total'):.0f})"
-    )
-    return 0
 
 
 def _serve(args, engine: ExperimentEngine) -> int:
@@ -994,7 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="only drop entries of this cell kind (default: all)",
     )
     obsp = sub.add_parser(
-        "obs", help="observability: summarize or validate decision traces"
+        "obs", help="observability: summarize a decision trace or its "
+        "critical path"
     )
     obs_sub = obsp.add_subparsers(dest="obs_command", required=True)
     osum = obs_sub.add_parser(
@@ -1013,10 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="analyse this trace id (default: the trace with the longest "
              "root span)",
     )
-    obs_sub.add_parser(
-        "check",
-        help="run a tiny traced sweep and validate every record's schema",
-    )
     cver = sub.add_parser(
         "cache-verify",
         help="integrity-check every cached result, quarantining corrupt ones",
@@ -1024,15 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     cver.add_argument(
         "--cache-dir", required=True, metavar="DIR",
         help="cache directory to verify",
-    )
-    resp = sub.add_parser(
-        "resilience", help="fault tolerance: self-check the recovery paths"
-    )
-    res_sub = resp.add_subparsers(dest="resilience_command", required=True)
-    res_sub.add_parser(
-        "check",
-        help="inject crash/hang/transient/corruption faults into a tiny "
-             "sweep and verify byte-identical recovery plus resume",
     )
     deg = sub.add_parser(
         "degrade",
@@ -1055,15 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     deg.add_argument(
         "--rounds", type=int, default=12,
         help="adaptation rounds per grid cell (default: 12)",
-    )
-    robp = sub.add_parser(
-        "robust", help="degraded hardware: self-check the robustness paths"
-    )
-    rob_sub = robp.add_subparsers(dest="robust_command", required=True)
-    rob_sub.add_parser(
-        "check",
-        help="run the degradation study at 25%% faults + 10%% noise and "
-             "verify every guardrail path fires and recovers",
     )
     servep = sub.add_parser(
         "serve",
@@ -1338,18 +1038,12 @@ def _dispatch(args) -> int:
     elif args.command == "obs":
         if args.obs_command == "summarize":
             return _obs_summarize(args.path)
-        if args.obs_command == "critical-path":
-            return _obs_critical_path(args.path, args.trace_id)
-        return _obs_check()
+        return _obs_critical_path(args.path, args.trace_id)
     elif args.command == "cache-verify":
         return _cache_verify(args.cache_dir)
-    elif args.command == "resilience":
-        return _resilience_check()
     elif args.command == "degrade":
         engine = _engine_from_args(args)
         _run_observed(args, "degrade", lambda: _degrade(args, engine))
-    elif args.command == "robust":
-        return _robust_check()
     elif args.command == "serve":
         return _serve(args, _engine_from_args(args))
     elif args.command == "worker":

@@ -22,7 +22,7 @@ processes.  Three pieces cooperate:
     is re-issued to a second worker and the first result wins.  Every
     delivery is deduplicated by the chunk's **cell content-address**
     before it reaches the engine, so double-completion after a
-    failover or hedge can never double-write the cache or journal.
+    failover or hedge can never double-write the cache.
 
 :class:`DispatchPlane`
     The factory the engine holds.  ``executor(...)`` returns a
@@ -452,7 +452,7 @@ class RemoteExecutor:
         n = len(chunks)
         # Content address per chunk: deliveries are deduplicated on it,
         # so a hedge loser or post-failover double completion can never
-        # reach the cache/journal callback twice.
+        # reach the cache-writing callback twice.
         self._content_keys = [
             hashlib.sha256(
                 json.dumps(encode_cells(c), sort_keys=True).encode("utf-8")

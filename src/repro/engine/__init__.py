@@ -21,7 +21,7 @@ Layers
     implementations for all four adaptive structures.
 
 Fault tolerance — retries with backoff, pool-crash recovery, per-chunk
-timeouts, checkpoint/resume and fault injection — lives in the sibling
+timeouts and fault injection — lives in the sibling
 :mod:`repro.resilience` package; the engine drives every parallel batch
 through its :class:`~repro.resilience.ResilientExecutor`.
 """

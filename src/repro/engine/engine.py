@@ -1,21 +1,18 @@
 """The parallel experiment engine.
 
-:class:`ExperimentEngine` evaluates a batch of sweep cells through four
+:class:`ExperimentEngine` evaluates a batch of sweep cells through three
 layers, in order:
 
-1. **resume** — with a journal and ``resume=True``, cells already
-   recorded by an earlier (possibly killed) run are served from the
-   checkpoint journal;
-2. **cache** — cells whose content-address is already on disk are
+1. **cache** — cells whose content-address is already on disk are
    served without computing anything;
-3. **fan-out** — the remaining cells are split into deterministic
+2. **fan-out** — the remaining cells are split into deterministic
    contiguous chunks and evaluated on a ``ProcessPoolExecutor`` using
    the ``spawn`` start method (the portable one — nothing in a cell may
    rely on forked state), driven by a
    :class:`~repro.resilience.ResilientExecutor` that retries transient
    failures, respawns crashed pools, times out hung workers, and
    degrades to serial execution past the pool-respawn budget;
-4. **assembly** — payloads are reassembled strictly in submission
+3. **assembly** — payloads are reassembled strictly in submission
    order, so the result list is independent of worker scheduling *and*
    of any recovery action, and a ``jobs=1`` run is bitwise identical to
    a ``jobs=N`` run — faulted or not.
@@ -25,7 +22,8 @@ is also the fallback while debugging worker-side failures.  Hit/miss
 counters are kept on every run; under an active tracer each run is one
 ``engine.map`` span with one ``engine.cell`` event per cell (see
 ``docs/observability.md``).  Failure semantics, the fault taxonomy, and
-the checkpoint/resume workflow are documented in ``docs/resilience.md``.
+resuming a killed sweep from its result cache are documented in
+``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from repro.obs.metrics import metrics
 from repro.obs.stitch import TraceContext, stitch_shards
 from repro.resilience.executor import ResilientExecutor
 from repro.resilience.faults import FaultPlan, corrupt_cache_entry
-from repro.resilience.journal import SweepJournal
 from repro.resilience.policy import RetryPolicy
 
 if TYPE_CHECKING:
@@ -64,19 +61,15 @@ class EngineStats:
     cells: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    resumed: int = 0
     elapsed_s: float = 0.0
     busy_s: float = 0.0
     runs: int = 0
 
-    def merge_run(
-        self, hits: int, misses: int, resumed: int, elapsed: float, busy: float
-    ) -> None:
+    def merge_run(self, hits: int, misses: int, elapsed: float, busy: float) -> None:
         """Fold one run's counters in."""
         self.cells += hits + misses
         self.cache_hits += hits
         self.cache_misses += misses
-        self.resumed += resumed
         self.elapsed_s += elapsed
         self.busy_s += busy
         self.runs += 1
@@ -106,12 +99,6 @@ class ExperimentEngine:
     fault_plan:
         Deterministic fault injection for tests and drills; ``None``
         (the default, and the production setting) injects nothing.
-    journal:
-        Path of the checkpoint journal; completed cells are durably
-        appended as they finish.  ``None`` disables journaling.
-    resume:
-        Serve cells already recorded in ``journal`` instead of
-        recomputing them.  Requires ``journal``.
     dispatcher:
         A :class:`~repro.dispatch.DispatchPlane` to fan chunks out to
         remote ``repro worker`` processes.  ``None`` (the default)
@@ -126,8 +113,6 @@ class ExperimentEngine:
     chunk_size: int | None = None
     retry: RetryPolicy | None = None
     fault_plan: FaultPlan | None = None
-    journal: str | Path | None = None
-    resume: bool = False
     dispatcher: "DispatchPlane | None" = None
     stats: EngineStats = field(default_factory=EngineStats)
 
@@ -152,25 +137,10 @@ class ExperimentEngine:
                     "directory; point it at a directory (it is created on "
                     "first write) or pass None to disable caching"
                 )
-        if self.resume and self.journal is None:
-            raise EngineError(
-                "resume=True needs a journal path to resume from; pass "
-                "journal=<path> (the CLI spells this --journal PATH --resume)"
-            )
         self._retry = self.retry if self.retry is not None else RetryPolicy()
         self._cache = (
             ResultCache(self.cache_dir)
             if self.cache_dir is not None and self.use_cache
-            else None
-        )
-        # The journal shares the cache's fingerprint capture so both
-        # agree on every cell key.
-        self._journal = (
-            SweepJournal(
-                self.journal,
-                fingerprint=self._cache.fingerprint if self._cache else None,
-            )
-            if self.journal is not None
             else None
         )
 
@@ -223,26 +193,12 @@ class ExperimentEngine:
         sources: list[str] = ["computed"] * len(cells)
         keys: list[str | None] = [None] * len(cells)
         misses: list[int] = []
-        resumed = (
-            self._journal.load() if self._journal is not None and self.resume else {}
-        )
-        n_resumed = 0
 
         for i, cell in enumerate(cells):
-            if self._cache is not None:
-                keys[i] = self._cache.key(cell)
-            elif self._journal is not None:
-                keys[i] = self._journal.key(cell)
-            if keys[i] is not None and keys[i] in resumed:
-                payloads[i] = resumed[keys[i]]
-                sources[i] = "journal"
-                n_resumed += 1
-                if self._cache is not None:
-                    self._cache.store(keys[i], cell, payloads[i])
-                continue
             if self._cache is None:
                 misses.append(i)
                 continue
+            keys[i] = self._cache.key(cell)
             probe_start = time.perf_counter()
             hit = self._cache.load(keys[i])
             if hit is None:
@@ -271,7 +227,7 @@ class ExperimentEngine:
                 source=sources[i], wall_s=walls[i],
             )
             wall_hist.observe(walls[i], kind=cell.kind, source=sources[i])
-        self.stats.merge_run(n_hits, len(misses), n_resumed, elapsed, busy)
+        self.stats.merge_run(n_hits, len(misses), elapsed, busy)
         reg = metrics()
         reg.counter("repro_engine_runs_total", "engine map() batches").inc()
         reg.counter(
@@ -280,18 +236,13 @@ class ExperimentEngine:
         reg.counter(
             "repro_engine_cache_misses_total", "sweep cells computed"
         ).inc(len(misses))
-        if n_resumed:
-            reg.counter(
-                "repro_engine_journal_resumed_total",
-                "sweep cells served from a checkpoint journal on resume",
-            ).inc(n_resumed)
         if self.stats.cells:
             reg.gauge(
                 "repro_engine_cache_hit_ratio",
                 "lifetime cache-hit ratio of this engine",
             ).set(self.stats.cache_hits / self.stats.cells)
         span.set(
-            cache_hits=n_hits, cache_misses=len(misses), resumed=n_resumed,
+            cache_hits=n_hits, cache_misses=len(misses),
             elapsed_s=elapsed, busy_s=busy,
         )
         if report is not None and (
@@ -319,8 +270,9 @@ class ExperimentEngine:
         """Evaluate the cache misses resiliently, persisting as they land.
 
         Returns the executor's :class:`~repro.resilience.ExecutionReport`.
-        Cache and journal writes happen in the per-chunk callback, so an
-        interrupted run keeps everything that finished.
+        Cache writes happen in the per-chunk callback, so an interrupted
+        run keeps everything that finished and a re-run with the same
+        cache directory resumes from there.
         """
         policy = self._retry
         if deadline_s is not None:
@@ -347,8 +299,6 @@ class ExperimentEngine:
                 walls[g] = wall
                 if self._cache is not None:
                     self._cache.store(keys[g], cells[g], payload)
-                if self._journal is not None:
-                    self._journal.record(keys[g], cells[g], payload, wall)
 
         # Cross-process tracing: pooled workers cannot see this
         # process's tracer, so hand them a TraceContext anchored on the
@@ -413,7 +363,7 @@ _DEFAULT_ENGINE: ExperimentEngine | None = None
 def default_engine() -> ExperimentEngine:
     """The shared serial engine harnesses fall back to.
 
-    No cache, no journal, no pool — exactly the pre-engine behaviour,
+    No cache, no pool — exactly the pre-engine behaviour,
     which keeps every harness's default results and signatures stable.
     """
     global _DEFAULT_ENGINE

@@ -37,7 +37,6 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "extension",
         "degrade",
         "query",
-        "obs_check",
         # Adaptive-control hierarchy (run -> interval -> candidate ->
         # reconfigure), as in the paper's Configuration Manager.
         "online_run",
@@ -173,7 +172,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "repro_engine_cache_misses_total",
         "repro_engine_cell_wall_seconds",
         "repro_engine_chunk_timeouts_total",
-        "repro_engine_journal_resumed_total",
         "repro_engine_lost_chunks_total",
         "repro_engine_pool_respawns_total",
         "repro_engine_retries_total",

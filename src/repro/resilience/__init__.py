@@ -1,7 +1,7 @@
 """repro.resilience — fault tolerance for the experiment engine.
 
 The paper's premise is graceful adaptation under changing conditions;
-this package gives the *experiment engine* the same property.  Four
+this package gives the *experiment engine* the same property.  Three
 cooperating layers:
 
 :mod:`repro.resilience.policy`
@@ -13,15 +13,10 @@ cooperating layers:
     worker crashes (``BrokenProcessPool`` → respawn + re-queue), hangs
     (timeout → pool kill), transient exceptions (backoff + retry) and,
     past the respawn budget, graceful degradation to serial execution.
-:mod:`repro.resilience.journal`
-    :class:`SweepJournal` — a crash-safe, content-addressed journal of
-    completed cells; an interrupted sweep resumed with the same journal
-    re-executes only the unfinished cells.
 :mod:`repro.resilience.faults`
     :class:`FaultPlan` / :class:`FaultEvent` — deterministic, seedable
     fault injection (worker crashes, hangs, transient exceptions, cache
-    corruption) used by the test suite and ``repro resilience check``
-    to prove each recovery path.
+    corruption) used by the test suite to prove each recovery path.
 
 Every recovery action is surfaced through :mod:`repro.obs` — span
 events plus ``repro_engine_retries_total``-family counters — and the
@@ -30,6 +25,9 @@ retry policy keys off the typed taxonomy in :mod:`repro.errors`
 :class:`~repro.errors.FatalError` escalates,
 :class:`~repro.errors.CacheCorruptionError` quarantines).
 
+A killed sweep resumes from the content-addressed result cache: the
+engine stores each finished cell as its chunk lands, so a re-run with
+the same cache directory recomputes only the cells that never finished.
 See ``docs/resilience.md`` for the failure semantics and the fault
 taxonomy.
 """
@@ -46,7 +44,6 @@ from repro.resilience.faults import (
     corrupt_cache_entry,
     evaluate_chunk_with_faults,
 )
-from repro.resilience.journal import JOURNAL_SCHEMA_VERSION, SweepJournal
 from repro.resilience.policy import RetryPolicy
 
 __all__ = [
@@ -55,10 +52,8 @@ __all__ = [
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",
-    "JOURNAL_SCHEMA_VERSION",
     "ResilientExecutor",
     "RetryPolicy",
-    "SweepJournal",
     "corrupt_cache_entry",
     "evaluate_chunk_with_faults",
 ]

@@ -20,7 +20,7 @@ completion through every failure mode the engine knows how to survive:
   retrying a real bug only wastes time.
 
 Completed chunks are delivered through the ``on_chunk_done`` callback
-*as they finish* (journal and cache writes hang off it, so an
+*as they finish* (result-cache writes hang off it, so an
 interrupted run preserves its progress), and the final result list is
 assembled strictly in chunk order — the resilience machinery never
 perturbs result ordering.

@@ -27,21 +27,23 @@ class TestParser:
             ["clock"],
             ["power"],
             ["cache-verify", "--cache-dir", "x"],
-            ["resilience", "check"],
+            ["cache-clear", "--cache-dir", "x"],
+            ["export", "all"],
+            ["obs", "summarize", "t"],
+            ["degrade"],
+            ["chaos"],
+            ["worker"],
         ):
             assert parser.parse_args(argv).command == argv[0]
 
     def test_resilience_flags_parse(self):
         args = build_parser().parse_args(
             ["figure", "9", "--jobs", "4", "--chunk-size", "2",
-             "--retries", "5", "--timeout", "120",
-             "--journal", "fig9.journal", "--resume"]
+             "--retries", "5", "--timeout", "120"]
         )
         assert args.chunk_size == 2
         assert args.retries == 5
         assert args.timeout == 120.0
-        assert args.journal == "fig9.journal"
-        assert args.resume
 
     def test_run_sinks_only_on_commands_that_honour_them(self):
         parser = build_parser()
@@ -54,12 +56,18 @@ class TestParser:
                 with pytest.raises(SystemExit):
                     parser.parse_args(argv + [flag])
 
-    def test_resume_without_journal_is_rejected(self):
-        from repro.cli import _engine_from_args
-
-        args = build_parser().parse_args(["figure", "9", "--resume"])
-        with pytest.raises(SystemExit, match="--journal"):
-            _engine_from_args(args)
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--jobs", "0"], "jobs must be >= 1"),
+            (["--chunk-size", "0"], "chunk_size must be >= 1"),
+            (["--retries", "0"], "max_attempts must be >= 1"),
+            (["--cache-dir", __file__], "is not a directory"),
+        ],
+    )
+    def test_invalid_engine_option_is_a_one_line_error(self, option, message):
+        with pytest.raises(SystemExit, match=f"^error: .*{message}"):
+            main(["figure", "2", *option])
 
 
 class TestCommands:

@@ -54,7 +54,6 @@ from repro.engine.sweeps import (
 )
 from repro.errors import EngineError
 from repro.obs import Tracer, summarize_trace, validate_trace
-from repro.resilience import SweepJournal
 from repro.service.broker import SweepBroker
 from repro.workloads.suite import all_profiles, get_profile
 from tests.oracles import document_cell_key
@@ -242,11 +241,9 @@ def key_holders(tmp_path_factory):
     fingerprint = cache.fingerprint
     broker = SweepBroker(engine=ExperimentEngine())
     assert broker.keyer.fingerprint == fingerprint
-    journal = SweepJournal(root / "sweep.journal", fingerprint=fingerprint)
     return fingerprint, {
         "ResultCache.key": cache.key,
         "cell_key": lambda cell: cell_key(cell, fingerprint),
-        "SweepJournal.key": journal.key,
         "SweepBroker.keyer": broker.keyer.key,
     }
 

@@ -1,8 +1,8 @@
 """Trace-schema validation over real instrumented runs (tier 1).
 
-`make obs-check` runs these tests (plus ``repro obs check``): a tiny
-traced sweep must emit only schema-valid records covering every
-adaptive-control level, and tracing must not perturb results.
+`make obs-check` runs these tests: a tiny traced sweep must emit only
+schema-valid records covering every adaptive-control level, and tracing
+must not perturb results.
 """
 
 import pytest
@@ -118,15 +118,8 @@ class TestCliObservability:
         assert "engine.map" in profiled.err
         assert "cell:cache_tpi" in profiled.err
 
-    def test_obs_check_command(self, capsys):
-        assert main(["obs", "check"]) == 0
-        out = capsys.readouterr().out
-        assert "obs check ok" in out
-
     def test_obs_parses(self):
         from repro.cli import build_parser
 
-        parser = build_parser()
-        assert parser.parse_args(["obs", "check"]).command == "obs"
-        args = parser.parse_args(["obs", "summarize", "t.jsonl"])
+        args = build_parser().parse_args(["obs", "summarize", "t.jsonl"])
         assert args.obs_command == "summarize"

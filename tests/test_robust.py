@@ -18,6 +18,7 @@ from repro.errors import (
     SensorError,
     SimulationError,
 )
+from repro.obs.metrics import metrics
 from repro.ooo.intervals import IntervalSeries
 from repro.robust import (
     HardwareFaultModel,
@@ -27,6 +28,11 @@ from repro.robust import (
     TpiWatchdog,
     UnitFault,
 )
+
+
+def _fired(name: str) -> float:
+    """A labelled counter's total over every label set."""
+    return sum(metrics().counter(name).collect().values())
 
 
 def _series(tpis_by_window, interval=1000):
@@ -113,8 +119,10 @@ class TestNoisySensor:
         assert any(v != 1.0 for v in a)
 
     def test_full_dropout_delivers_nothing(self):
+        before = _fired("repro_robust_sensor_dropouts_total")
         sensor = NoisySensor(SensorNoiseConfig(dropout_rate=1.0))
         assert sensor.read(0, 1.0) is None
+        assert _fired("repro_robust_sensor_dropouts_total") > before
 
     def test_stuck_counter_replays_value(self):
         sensor = NoisySensor(
@@ -199,6 +207,7 @@ class TestControllerMasking:
 
 class TestThrashGuardrail:
     def test_lock_fires_and_cools_down(self):
+        before = _fired("repro_robust_thrash_locks_total")
         det = ThrashDetector(GuardrailConfig(thrash_threshold=2, cooldown=5))
         det.record_switch(0)
         assert not det.locked(0)
@@ -206,6 +215,7 @@ class TestThrashGuardrail:
         assert det.locked(1) and det.locked(6)
         assert not det.locked(7)
         assert det.n_locks == 1
+        assert _fired("repro_robust_thrash_locks_total") > before
 
     def test_slow_switching_never_locks(self):
         det = ThrashDetector(
@@ -445,15 +455,31 @@ class TestDegradationStudy:
             assert cell.n_reachable == cell.n_designed
 
     def test_degraded_cells_complete_and_recover(self):
-        from repro.experiments.degradation_study import degradation_study
-
-        study = degradation_study(
-            fail_fractions=(0.25,), noise_fractions=(0.10,),
-            n_rounds=6, n_refs=1500, warmup_refs=500,
-            n_instructions=600, n_branches=600,
+        counters = (
+            "repro_robust_faults_injected_total",
+            "repro_robust_watchdog_regressions_total",
+            "repro_robust_watchdog_fallbacks_total",
         )
+        before = {name: _fired(name) for name in counters}
+        study = self._degraded_study()
+        assert len(study.cells) == 4
         assert study.total_unrecovered() == 0
         for cell in study.cells:
             assert cell.n_reachable < cell.n_designed
             assert 0.0 < cell.retained <= 1.0
             assert math.isfinite(cell.final_tpi_ns)
+        for name in counters:
+            assert _fired(name) > before[name], name
+
+    def test_same_seed_runs_give_equal_cells(self):
+        assert self._degraded_study().cells == self._degraded_study().cells
+
+    @staticmethod
+    def _degraded_study():
+        from repro.experiments.degradation_study import degradation_study
+
+        return degradation_study(
+            fail_fractions=(0.25,), noise_fractions=(0.10,),
+            n_rounds=6, n_refs=1500, warmup_refs=500,
+            n_instructions=600, n_branches=600,
+        )
