@@ -34,21 +34,7 @@ Subpackages
     One harness per figure of the paper's evaluation.
 """
 
-from repro.core.processor import CapProcessor
-from repro.core.clock import DynamicClock
-from repro.core.manager import ConfigurationManager
-from repro.core.metrics import StructureSweep, SweepResult
-from repro.core.structure import (
-    ComplexityAdaptiveStructure,
-    FixedStructure,
-    ReconfigurationCost,
-    StructureRunResult,
-)
-from repro.cache.adaptive import AdaptiveCacheHierarchy
-from repro.ooo.adaptive import AdaptiveInstructionQueue
-from repro.tlb.adaptive import AdaptiveTlb
-from repro.branch.adaptive import AdaptiveBranchPredictor
-from repro.engine import ExperimentEngine, default_engine
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
@@ -70,3 +56,19 @@ __all__ = [
     "default_engine",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.processor": ("CapProcessor",),
+    "repro.core.clock": ("DynamicClock",),
+    "repro.core.manager": ("ConfigurationManager",),
+    "repro.core.metrics": ("StructureSweep", "SweepResult"),
+    "repro.core.structure": (
+        "ComplexityAdaptiveStructure", "FixedStructure", "ReconfigurationCost",
+        "StructureRunResult",
+    ),
+    "repro.cache.adaptive": ("AdaptiveCacheHierarchy",),
+    "repro.ooo.adaptive": ("AdaptiveInstructionQueue",),
+    "repro.tlb.adaptive": ("AdaptiveTlb",),
+    "repro.branch.adaptive": ("AdaptiveBranchPredictor",),
+    "repro.engine.engine": ("ExperimentEngine", "default_engine"),
+})

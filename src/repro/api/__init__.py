@@ -22,26 +22,7 @@ This facade *replaces* the pre-engine per-structure sweep entry points
 were deleted.
 """
 
-from repro.api.query import (
-    profile_for_request,
-    request_cell,
-    request_cell_key,
-    result_from_payload,
-    run_queries,
-    run_query,
-    sweep_for_request,
-)
-from repro.api.types import (
-    DEFAULT_TENANT,
-    PREDICTORS,
-    STRUCTURES,
-    TERMINAL_STATES,
-    ConfigurationPoint,
-    JobState,
-    JobStatus,
-    OptimizationRequest,
-    OptimizationResult,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ConfigurationPoint",
@@ -61,3 +42,15 @@ __all__ = [
     "run_query",
     "sweep_for_request",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.api.query": (
+        "profile_for_request", "request_cell", "request_cell_key",
+        "result_from_payload", "run_queries", "run_query", "sweep_for_request",
+    ),
+    "repro.api.types": (
+        "DEFAULT_TENANT", "PREDICTORS", "STRUCTURES", "TERMINAL_STATES",
+        "ConfigurationPoint", "JobState", "JobStatus", "OptimizationRequest",
+        "OptimizationResult",
+    ),
+})

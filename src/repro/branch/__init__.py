@@ -24,11 +24,7 @@ Modules
     The CAS wrapper (configuration = enabled table entries).
 """
 
-from repro.branch.predictors import BimodalPredictor, GsharePredictor, PredictorKind
-from repro.branch.workloads import BranchProfile, branch_profile_for, generate_branch_trace
-from repro.branch.timing import BranchTimingModel, PREDICTOR_TABLE_SIZES
-from repro.branch.tpi import BranchTpiModel, BranchBreakdown
-from repro.branch.adaptive import AdaptiveBranchPredictor
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BimodalPredictor",
@@ -43,3 +39,13 @@ __all__ = [
     "BranchBreakdown",
     "AdaptiveBranchPredictor",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.branch.predictors": ("BimodalPredictor", "GsharePredictor", "PredictorKind"),
+    "repro.branch.workloads": (
+        "BranchProfile", "branch_profile_for", "generate_branch_trace",
+    ),
+    "repro.branch.timing": ("BranchTimingModel", "PREDICTOR_TABLE_SIZES"),
+    "repro.branch.tpi": ("BranchBreakdown", "BranchTpiModel"),
+    "repro.branch.adaptive": ("AdaptiveBranchPredictor",),
+})

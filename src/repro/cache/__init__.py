@@ -26,12 +26,7 @@ Modules
     The movable-boundary CAS wrapper.
 """
 
-from repro.cache.config import CacheGeometry, HierarchyConfig, PAPER_GEOMETRY
-from repro.cache.hierarchy import AccessLevel, TwoLevelExclusiveCache
-from repro.cache.stackdist import COLD_DEPTH, DepthHistogram, StackDistanceEngine
-from repro.cache.timing import CacheTimingModel, LatencyMode
-from repro.cache.tpi import CacheTpiModel, TpiBreakdown
-from repro.cache.adaptive import AdaptiveCacheHierarchy
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CacheGeometry",
@@ -48,3 +43,12 @@ __all__ = [
     "TpiBreakdown",
     "AdaptiveCacheHierarchy",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.cache.config": ("CacheGeometry", "HierarchyConfig", "PAPER_GEOMETRY"),
+    "repro.cache.hierarchy": ("AccessLevel", "TwoLevelExclusiveCache"),
+    "repro.cache.stackdist": ("COLD_DEPTH", "DepthHistogram", "StackDistanceEngine"),
+    "repro.cache.timing": ("CacheTimingModel", "LatencyMode"),
+    "repro.cache.tpi": ("CacheTpiModel", "TpiBreakdown"),
+    "repro.cache.adaptive": ("AdaptiveCacheHierarchy",),
+})

@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
-from repro.engine.cells import cell_kinds
-from repro.engine.engine import ExperimentEngine
 from repro.experiments.reporting import format_series, format_table
+
+if TYPE_CHECKING:
+    from repro.engine.engine import ExperimentEngine
 
 T = TypeVar("T")
 
@@ -303,7 +304,7 @@ def _suite() -> None:
 
 
 def _clock() -> None:
-    from repro import CapProcessor
+    from repro.core.processor import CapProcessor
 
     cpu = CapProcessor()
     print(cpu.describe())
@@ -313,8 +314,9 @@ def _clock() -> None:
 
 
 def _power() -> None:
-    from repro import AdaptiveCacheHierarchy, AdaptiveInstructionQueue
+    from repro.cache.adaptive import AdaptiveCacheHierarchy
     from repro.core.power import PowerModel, PowerMode
+    from repro.ooo.adaptive import AdaptiveInstructionQueue
 
     model = PowerModel(
         structures=(AdaptiveCacheHierarchy(), AdaptiveInstructionQueue())
@@ -386,8 +388,9 @@ def _engine_options(run_sinks: bool = True) -> argparse.ArgumentParser:
 
 
 def _engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
+    from repro.engine.engine import ExperimentEngine
     from repro.errors import EngineError
-    from repro.resilience import RetryPolicy
+    from repro.resilience.policy import RetryPolicy
 
     try:
         retry = None
@@ -424,7 +427,7 @@ def _run_observed(
     """
     from contextlib import ExitStack
 
-    from repro.obs import metrics
+    from repro.obs.metrics import metrics
     from repro.obs.summarize import profile_report
     from repro.obs.trace import Tracer, span
 
@@ -455,8 +458,8 @@ def _obs_summarize(path: str) -> int:
 
 def _obs_critical_path(path: str, trace_id: str | None) -> int:
     from repro.errors import ObservabilityError
-    from repro.obs import read_records
     from repro.obs.critical import critical_path, format_report
+    from repro.obs.schema import read_records
 
     try:
         report = critical_path(read_records(path), trace_id=trace_id)
@@ -528,8 +531,9 @@ def _serve(args, engine: ExperimentEngine) -> int:
 
     from repro.dispatch.plane import DispatchPolicy
     from repro.obs.trace import Tracer
-    from repro.service import QuotaPolicy, ServiceConfig, run_service
     from repro.service.breaker import BreakerPolicy
+    from repro.service.quotas import QuotaPolicy
+    from repro.service.server import ServiceConfig, run_service
 
     config = ServiceConfig(
         host=args.host,
@@ -593,13 +597,13 @@ def _loadtest(args) -> int:
 
     from repro.errors import ReproError
     from repro.obs.trace import Tracer
-    from repro.service import ServiceConfig, ServiceThread
     from repro.service.loadtest import (
         SloPolicy,
         append_bench,
         format_report,
         run_loadtest,
     )
+    from repro.service.server import ServiceConfig, ServiceThread
 
     slo = SloPolicy(
         p50_s=args.slo_p50,
@@ -639,7 +643,8 @@ def _loadtest(args) -> int:
 
 def _query(args, engine: ExperimentEngine) -> int:
     """Answer one optimization request, locally or against a service."""
-    from repro.api import OptimizationRequest, run_query
+    from repro.api.query import run_query
+    from repro.api.types import OptimizationRequest
     from repro.errors import ReproError
 
     def ask():
@@ -679,6 +684,20 @@ def _query(args, engine: ExperimentEngine) -> int:
     return 0
 
 
+class _CellKinds:
+    """``cache-clear --kind``'s choices, listed only when argparse checks
+    a given value or prints help: listing them imports the cell layer
+    and numpy, which building the parser must not."""
+
+    def __contains__(self, value: object) -> bool:
+        return value in iter(self)
+
+    def __iter__(self) -> Iterator[str]:
+        from repro.engine.cells import cell_kinds
+
+        return iter(sorted(cell_kinds()))
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -711,8 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache directory to clear",
     )
     clear.add_argument(
-        "--kind", default=None, choices=sorted(cell_kinds()),
-        help="only drop entries of this cell kind (default: all)",
+        "--kind", default=None, choices=_CellKinds(), metavar="KIND",
+        help="only drop entries of this cell kind: %(choices)s (default: all)",
     )
     obsp = sub.add_parser(
         "obs", help="observability: summarize a decision trace or its "
@@ -1076,7 +1095,13 @@ def _dispatch(args) -> int:
             graph=args.graph,
         )
     elif args.command == "cache-clear":
-        engine = ExperimentEngine(cache_dir=args.cache_dir)
+        from repro.engine.engine import ExperimentEngine
+        from repro.errors import EngineError
+
+        try:
+            engine = ExperimentEngine(cache_dir=args.cache_dir)
+        except EngineError as exc:
+            raise SystemExit(f"error: {exc}")
         dropped = engine.invalidate_cache(kind=args.kind)
         print(f"dropped {dropped} cached result(s) from {args.cache_dir}")
     elif args.command == "export":

@@ -22,27 +22,7 @@ simulators into a CAP:
   one top-level object.
 """
 
-from repro.core.structure import (
-    ComplexityAdaptiveStructure,
-    FixedStructure,
-    ReconfigurationCost,
-)
-from repro.core.clock import ClockSwitch, DynamicClock
-from repro.core.monitor import IntervalSample, PerformanceMonitor
-from repro.core.manager import ConfigurationDecision, ConfigurationManager
-from repro.core.policies import (
-    ConfigurationPolicy,
-    IntervalAdaptivePolicy,
-    OraclePolicy,
-    StaticPolicy,
-)
-from repro.core.predictor import ConfigurationPredictor, PredictorStats
-from repro.core.metrics import TpiComparison, geometric_mean, reduction_percent
-from repro.core.power import PowerModel, PowerMode
-from repro.core.processor import CapProcessor
-from repro.core.controller import ControllerConfig, ControllerOutcome, OnlineController, run_online
-from repro.core.multiprogram import MultiprogramResult, ProcessSpec, run_multiprogrammed
-from repro.core.asynchronous import AsyncAccessProfile, async_cache_profile
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FixedStructure",
@@ -76,3 +56,26 @@ __all__ = [
     "AsyncAccessProfile",
     "async_cache_profile",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.structure": (
+        "ComplexityAdaptiveStructure", "FixedStructure", "ReconfigurationCost",
+    ),
+    "repro.core.clock": ("ClockSwitch", "DynamicClock"),
+    "repro.core.monitor": ("IntervalSample", "PerformanceMonitor"),
+    "repro.core.manager": ("ConfigurationDecision", "ConfigurationManager"),
+    "repro.core.policies": (
+        "ConfigurationPolicy", "IntervalAdaptivePolicy", "OraclePolicy", "StaticPolicy",
+    ),
+    "repro.core.predictor": ("ConfigurationPredictor", "PredictorStats"),
+    "repro.core.metrics": ("TpiComparison", "geometric_mean", "reduction_percent"),
+    "repro.core.power": ("PowerModel", "PowerMode"),
+    "repro.core.processor": ("CapProcessor",),
+    "repro.core.controller": (
+        "ControllerConfig", "ControllerOutcome", "OnlineController", "run_online",
+    ),
+    "repro.core.multiprogram": (
+        "MultiprogramResult", "ProcessSpec", "run_multiprogrammed",
+    ),
+    "repro.core.asynchronous": ("AsyncAccessProfile", "async_cache_profile"),
+})

@@ -15,15 +15,13 @@ interaction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
+from repro.cache.adaptive import AdaptiveCacheHierarchy
 from repro.core.clock import DynamicClock
 from repro.core.manager import ConfigurationManager
 from repro.core.structure import FixedStructure
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from repro.cache.adaptive import AdaptiveCacheHierarchy
-    from repro.ooo.adaptive import AdaptiveInstructionQueue
+from repro.ooo.adaptive import AdaptiveInstructionQueue
 
 
 class CapProcessor:
@@ -31,14 +29,11 @@ class CapProcessor:
 
     def __init__(
         self,
-        dcache: "AdaptiveCacheHierarchy | None" = None,
-        iqueue: "AdaptiveInstructionQueue | None" = None,
+        dcache: AdaptiveCacheHierarchy | None = None,
+        iqueue: AdaptiveInstructionQueue | None = None,
         fixed_structures: Sequence[FixedStructure] = (),
         switch_pause_cycles: int = 30,
     ) -> None:
-        from repro.cache.adaptive import AdaptiveCacheHierarchy
-        from repro.ooo.adaptive import AdaptiveInstructionQueue
-
         self.dcache = dcache if dcache is not None else AdaptiveCacheHierarchy()
         self.iqueue = iqueue if iqueue is not None else AdaptiveInstructionQueue()
         self.clock = DynamicClock(

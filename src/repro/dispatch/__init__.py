@@ -23,19 +23,7 @@ harmless.  With zero healthy workers the plane steps aside and the
 engine degrades to the local pool — no API change, near-zero overhead.
 """
 
-from repro.dispatch.plane import (
-    DispatchPlane,
-    DispatchPolicy,
-    RemoteExecutor,
-    WorkerRegistry,
-    WorkerState,
-)
-from repro.dispatch.worker import (
-    WorkerConfig,
-    WorkerServer,
-    WorkerThread,
-    run_worker,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DispatchPlane",
@@ -48,3 +36,13 @@ __all__ = [
     "WorkerThread",
     "run_worker",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.dispatch.plane": (
+        "DispatchPlane", "DispatchPolicy", "RemoteExecutor", "WorkerRegistry",
+        "WorkerState",
+    ),
+    "repro.dispatch.worker": (
+        "WorkerConfig", "WorkerServer", "WorkerThread", "run_worker",
+    ),
+})

@@ -26,22 +26,7 @@ timeouts and fault injection — lives in the sibling
 through its :class:`~repro.resilience.ResilientExecutor`.
 """
 
-from repro.engine.cache import (
-    CacheVerifyReport,
-    ResultCache,
-    cell_key,
-    payload_checksum,
-    technology_fingerprint,
-)
-from repro.engine.cells import SweepCell, cell_kinds, evaluate_cell
-from repro.engine.engine import EngineStats, ExperimentEngine, default_engine
-from repro.engine.sweeps import (
-    BranchStructureSweep,
-    CacheStructureSweep,
-    QueueStructureSweep,
-    TlbStructureSweep,
-    all_structure_sweeps,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ExperimentEngine",
@@ -61,3 +46,16 @@ __all__ = [
     "BranchStructureSweep",
     "all_structure_sweeps",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.engine.cache": (
+        "CacheVerifyReport", "ResultCache", "cell_key", "payload_checksum",
+        "technology_fingerprint",
+    ),
+    "repro.engine.cells": ("SweepCell", "cell_kinds", "evaluate_cell"),
+    "repro.engine.engine": ("EngineStats", "ExperimentEngine", "default_engine"),
+    "repro.engine.sweeps": (
+        "BranchStructureSweep", "CacheStructureSweep", "QueueStructureSweep",
+        "TlbStructureSweep", "all_structure_sweeps",
+    ),
+})

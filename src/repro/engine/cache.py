@@ -33,11 +33,13 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.engine.cells import SweepCell
 from repro.errors import CacheCorruptionError
 from repro.obs.metrics import metrics
+
+if TYPE_CHECKING:
+    from repro.engine.cells import SweepCell
 
 #: Bump when the stored entry layout changes; old entries become misses.
 #: Version 2 added the payload checksum; version 3 stores the payload as

@@ -16,8 +16,12 @@ deliberately small, self-describing records:
 Evaluators are registered per cell *kind* in a module-level table; the
 pool target :func:`evaluate_chunk` is a top-level function, so spawned
 workers re-import this module and find every evaluator registered.
-Expensive intermediates (stack-distance histograms) are memoised per
-process, so cells sharing a trace amortise it within a worker.
+Each evaluator imports its structure's simulator and TPI model on first
+use, so a process loads only the kernels of the kinds it evaluates; the
+trace generators stay module attributes here, where callers (and the
+benchmark's span wrappers) look them up.  Expensive intermediates
+(stack-distance histograms) are memoised per process, so cells sharing
+a trace amortise it within a worker.
 """
 
 from __future__ import annotations
@@ -33,14 +37,7 @@ from repro.cache.timing import CacheTimingModel, LatencyMode
 from repro.cache.tpi import CacheTpiModel, TpiBreakdown
 from repro.errors import EngineError
 from repro.obs.trace import span
-from repro.ooo.machine import run_window_sweep
 from repro.tech.cacti import CacheIncrementTiming
-from repro.tlb.simulator import PageStackEngine, TlbDepthHistogram
-from repro.tlb.timing import TLB_TOTAL_ENTRIES
-from repro.tlb.tpi import TlbTpiModel
-from repro.branch.predictors import PredictorKind
-from repro.branch.tpi import BranchTpiModel
-from repro.branch.workloads import branch_profile_for
 from repro.tlb.workloads import generate_page_trace, tlb_profile_for
 from repro.workloads.address_trace import generate_address_trace
 from repro.workloads.instruction_trace import generate_instruction_trace
@@ -48,7 +45,9 @@ from repro.workloads.profiles import BenchmarkProfile, IlpProfile
 from repro.workloads.suite import get_profile
 
 if TYPE_CHECKING:
+    from repro.branch.predictors import PredictorKind
     from repro.obs.stitch import TraceContext
+    from repro.tlb.simulator import TlbDepthHistogram
 
 
 @dataclass(frozen=True)
@@ -251,6 +250,9 @@ def cached_tlb_histogram(
     profile: BenchmarkProfile, n_refs: int, warmup_refs: int
 ) -> TlbDepthHistogram:
     """Page-stack histogram of one application's trace (memoised)."""
+    from repro.tlb.simulator import PageStackEngine, TlbDepthHistogram
+    from repro.tlb.timing import TLB_TOTAL_ENTRIES
+
     key = (profile.name, n_refs, warmup_refs)
     hit = _TLB_HISTOGRAM_MEMO.get(key)
     if hit is not None:
@@ -337,6 +339,8 @@ def queue_tpi_cell(
 
 @register_evaluator("queue_tpi")
 def _evaluate_queue_tpi_cell(spec: Mapping[str, Any]) -> dict:
+    from repro.ooo.machine import run_window_sweep
+
     profile = get_profile(spec["profile"])
     trace = generate_instruction_trace(
         profile.ilp, spec["n_instructions"], profile.seed
@@ -370,6 +374,8 @@ def tlb_tpi_cell(
 
 @register_evaluator("tlb_tpi")
 def _evaluate_tlb_tpi_cell(spec: Mapping[str, Any]) -> dict:
+    from repro.tlb.tpi import TlbTpiModel
+
     profile = get_profile(spec["profile"])
     histogram = cached_tlb_histogram(profile, spec["n_refs"], spec["warmup_refs"])
     model = TlbTpiModel()
@@ -402,6 +408,10 @@ def branch_tpi_cell(
 
 @register_evaluator("branch_tpi")
 def _evaluate_branch_tpi_cell(spec: Mapping[str, Any]) -> dict:
+    from repro.branch.predictors import PredictorKind
+    from repro.branch.tpi import BranchTpiModel
+    from repro.branch.workloads import branch_profile_for
+
     profile = get_profile(spec["profile"])
     model = BranchTpiModel(kind=PredictorKind(spec["predictor"]))
     rows: dict[str, dict] = {}
@@ -443,8 +453,6 @@ def interval_series_cell(
 
 @register_evaluator("interval_series")
 def _evaluate_interval_series(spec: Mapping[str, Any]) -> dict:
-    # Local imports: phases/intervals sit above this module in some
-    # harnesses, keep the cell layer's import surface minimal.
     from repro.ooo.intervals import interval_tpi_series
     from repro.ooo.machine import MachineConfig, OutOfOrderMachine
     from repro.ooo.timing import QueueTimingModel

@@ -41,13 +41,13 @@ from repro.engine.cells import SweepCell
 from repro.errors import EngineError
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
-from repro.obs.stitch import TraceContext, stitch_shards
 from repro.resilience.executor import ResilientExecutor
 from repro.resilience.faults import FaultPlan, corrupt_cache_entry
 from repro.resilience.policy import RetryPolicy
 
 if TYPE_CHECKING:
     from repro.dispatch.plane import DispatchPlane
+    from repro.obs.stitch import TraceContext
 
 #: Chunks submitted per worker: small enough to load-balance uneven
 #: cells, large enough to amortise pickling and per-future overhead.
@@ -315,6 +315,8 @@ class ExperimentEngine:
         if tracer.enabled and (
             dispatching or (self.jobs > 1 and len(chunks) > 1)
         ):
+            from repro.obs.stitch import TraceContext
+
             shard_dir = tempfile.mkdtemp(prefix="repro-trace-shards-")
             trace_ctx = TraceContext(trace_id=tracer.trace_id, parent_id=span.id)
 
@@ -346,6 +348,8 @@ class ExperimentEngine:
             executor.run(chunks, on_chunk_done=on_chunk_done)
         finally:
             if shard_dir is not None:
+                from repro.obs.stitch import stitch_shards
+
                 stitched = stitch_shards(shard_dir, anchors={span.id})
                 tracer.adopt(stitched.records)
                 span.set(

@@ -16,26 +16,7 @@ wins, by roughly what factor, where crossovers fall — are asserted by
 the test suite and recorded in EXPERIMENTS.md.
 """
 
-from repro.experiments.wire_delay import WireDelaySeries, figure1, figure2
-from repro.experiments.cache_study import (
-    CacheStudyResult,
-    cache_tpi_table,
-    figure7,
-    figure8_9,
-)
-from repro.experiments.queue_study import (
-    QueueStudyResult,
-    figure10,
-    figure11,
-    queue_tpi_table,
-)
-from repro.experiments.interval_study import (
-    IntervalStudyResult,
-    PredictorStudyResult,
-    figure12,
-    figure13,
-    predictor_study,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "WireDelaySeries",
@@ -55,3 +36,17 @@ __all__ = [
     "predictor_study",
     "PredictorStudyResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.experiments.wire_delay": ("WireDelaySeries", "figure1", "figure2"),
+    "repro.experiments.cache_study": (
+        "CacheStudyResult", "cache_tpi_table", "figure7", "figure8_9",
+    ),
+    "repro.experiments.queue_study": (
+        "QueueStudyResult", "figure10", "figure11", "queue_tpi_table",
+    ),
+    "repro.experiments.interval_study": (
+        "IntervalStudyResult", "PredictorStudyResult", "figure12", "figure13",
+        "predictor_study",
+    ),
+})

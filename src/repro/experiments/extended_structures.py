@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api import OptimizationRequest, run_queries
+from repro.api.query import run_queries
+from repro.api.types import OptimizationRequest
 from repro.branch.timing import BranchTimingModel
 from repro.branch.tpi import BranchTpiModel
 from repro.branch.workloads import BRANCH_FRACTION

@@ -43,7 +43,8 @@ def queue_tpi_table(
     """
     profiles = queue_study_profiles()
     if timing is None:
-        from repro.api import OptimizationRequest, run_queries
+        from repro.api.query import run_queries
+        from repro.api.types import OptimizationRequest
 
         requests = [
             OptimizationRequest(

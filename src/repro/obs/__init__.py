@@ -30,25 +30,11 @@ catalog, and CLI usage (``--trace`` / ``--metrics`` / ``--profile`` and
 
 from __future__ import annotations
 
-from repro.obs.critical import critical_path
+from repro._lazy import lazy_exports
+
+# Eager on purpose: `metrics` is also the name of the submodule that
+# defines it, and importing that submodule would rebind a lazy name.
 from repro.obs.metrics import MetricsRegistry, metrics
-from repro.obs.schema import (
-    SPAN_LEVELS,
-    read_records,
-    validate_record,
-    validate_trace,
-)
-from repro.obs.stitch import TraceContext, validate_parentage
-from repro.obs.summarize import summarize_path, summarize_trace
-from repro.obs.trace import (
-    Tracer,
-    current_tracer,
-    event,
-    new_trace_id,
-    scoped_trace,
-    span,
-    use_tracer,
-)
 
 __all__ = [
     "MetricsRegistry",
@@ -70,3 +56,16 @@ __all__ = [
     "validate_record",
     "validate_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.critical": ("critical_path",),
+    "repro.obs.schema": (
+        "SPAN_LEVELS", "read_records", "validate_record", "validate_trace",
+    ),
+    "repro.obs.stitch": ("TraceContext", "validate_parentage"),
+    "repro.obs.summarize": ("summarize_path", "summarize_trace"),
+    "repro.obs.trace": (
+        "Tracer", "current_tracer", "event", "new_trace_id", "scoped_trace", "span",
+        "use_tracer",
+    ),
+})

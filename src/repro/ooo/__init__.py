@@ -20,11 +20,7 @@ Modules
     The CAS wrapper used by the Configuration Manager.
 """
 
-from repro.ooo.machine import MachineConfig, MachineResult, OutOfOrderMachine
-from repro.ooo.queue import InstructionQueue
-from repro.ooo.timing import PAPER_QUEUE_SIZES, QueueTimingModel
-from repro.ooo.intervals import IntervalSeries, interval_tpi_series
-from repro.ooo.adaptive import AdaptiveInstructionQueue
+from repro._lazy import lazy_exports
 
 __all__ = [
     "OutOfOrderMachine",
@@ -37,3 +33,11 @@ __all__ = [
     "IntervalSeries",
     "AdaptiveInstructionQueue",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.ooo.machine": ("MachineConfig", "MachineResult", "OutOfOrderMachine"),
+    "repro.ooo.queue": ("InstructionQueue",),
+    "repro.ooo.timing": ("PAPER_QUEUE_SIZES", "QueueTimingModel"),
+    "repro.ooo.intervals": ("IntervalSeries", "interval_tpi_series"),
+    "repro.ooo.adaptive": ("AdaptiveInstructionQueue",),
+})

@@ -32,19 +32,7 @@ See ``docs/resilience.md`` for the failure semantics and the fault
 taxonomy.
 """
 
-from repro.resilience.executor import (
-    ExecutionReport,
-    ResilientExecutor,
-)
-from repro.resilience.faults import (
-    CRASH_EXIT_CODE,
-    FAULT_KINDS,
-    FaultEvent,
-    FaultPlan,
-    corrupt_cache_entry,
-    evaluate_chunk_with_faults,
-)
-from repro.resilience.policy import RetryPolicy
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -57,3 +45,12 @@ __all__ = [
     "corrupt_cache_entry",
     "evaluate_chunk_with_faults",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.resilience.executor": ("ExecutionReport", "ResilientExecutor"),
+    "repro.resilience.faults": (
+        "CRASH_EXIT_CODE", "FAULT_KINDS", "FaultEvent", "FaultPlan",
+        "corrupt_cache_entry", "evaluate_chunk_with_faults",
+    ),
+    "repro.resilience.policy": ("RetryPolicy",),
+})

@@ -42,12 +42,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.engine.cells import SweepCell
 from repro.errors import FatalError
 from repro.obs.metrics import metrics
-from repro.obs.stitch import TraceContext
 from repro.resilience.faults import FaultPlan, evaluate_chunk_with_faults
 from repro.resilience.policy import RetryPolicy
 
 if TYPE_CHECKING:
     from concurrent.futures import Future, ProcessPoolExecutor
+
+    from repro.obs.stitch import TraceContext
 
 #: One chunk's results: (payload, wall_s) per cell, in cell order.
 ChunkResult = list[tuple[dict, float]]

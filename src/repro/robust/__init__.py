@@ -8,14 +8,7 @@ modeled hardware is imperfect: increments can fail
 from amplifying either problem.  See ``docs/robustness.md``.
 """
 
-from repro.robust.faults import HardwareFaultModel, UnitFault
-from repro.robust.guardrails import (
-    GuardrailConfig,
-    ThrashDetector,
-    TpiWatchdog,
-    WatchdogVerdict,
-)
-from repro.robust.sensors import NoisySensor, SensorNoiseConfig
+from repro._lazy import lazy_exports
 
 __all__ = [
     "GuardrailConfig",
@@ -27,3 +20,11 @@ __all__ = [
     "UnitFault",
     "WatchdogVerdict",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.robust.faults": ("HardwareFaultModel", "UnitFault"),
+    "repro.robust.guardrails": (
+        "GuardrailConfig", "ThrashDetector", "TpiWatchdog", "WatchdogVerdict",
+    ),
+    "repro.robust.sensors": ("NoisySensor", "SensorNoiseConfig"),
+})

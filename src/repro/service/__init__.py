@@ -31,26 +31,7 @@ Boot one with ``repro serve`` or, in process::
         client = ServiceClient(svc.url)
 """
 
-from repro.service.breaker import BreakerPolicy, CircuitBreaker
-from repro.service.broker import SweepBroker
-from repro.service.chaos import ChaosReport, run_chaos
-from repro.service.client import ServiceClient
-from repro.service.jobs import Job, JobStore
-from repro.service.journal import JobJournal, JournalReplay
-from repro.service.loadtest import (
-    LoadReport,
-    SloPolicy,
-    append_bench,
-    run_loadtest,
-)
-from repro.service.quotas import QuotaPolicy, TenantQuotas
-from repro.service.server import (
-    ServiceConfig,
-    ServiceThread,
-    SweepService,
-    run_service,
-)
-from repro.service.warmcache import WarmResultStore
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BreakerPolicy",
@@ -75,3 +56,20 @@ __all__ = [
     "run_loadtest",
     "run_service",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.service.breaker": ("BreakerPolicy", "CircuitBreaker"),
+    "repro.service.broker": ("SweepBroker",),
+    "repro.service.chaos": ("ChaosReport", "run_chaos"),
+    "repro.service.client": ("ServiceClient",),
+    "repro.service.jobs": ("Job", "JobStore"),
+    "repro.service.journal": ("JobJournal", "JournalReplay"),
+    "repro.service.loadtest": (
+        "LoadReport", "SloPolicy", "append_bench", "run_loadtest",
+    ),
+    "repro.service.quotas": ("QuotaPolicy", "TenantQuotas"),
+    "repro.service.server": (
+        "ServiceConfig", "ServiceThread", "SweepService", "run_service",
+    ),
+    "repro.service.warmcache": ("WarmResultStore",),
+})

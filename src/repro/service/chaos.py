@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.api.types import OptimizationRequest
+from repro.dispatch.plane import DispatchPolicy
 from repro.engine.engine import EngineStats, ExperimentEngine
 from repro.errors import CircuitOpenError, ReproError
 from repro.resilience.faults import FaultEvent, FaultPlan
@@ -483,10 +484,6 @@ def _spawn_worker(broker_url: str) -> subprocess.Popen:
 def _run_worker_phase(report: ChaosReport, n_jobs: int = 4) -> None:
     import json
 
-    # Lazy: repro.dispatch.plane depends on repro.service.breaker, so a
-    # module-level import here would close an import cycle through the
-    # package __init__.
-    from repro.dispatch.plane import DispatchPolicy
     from repro.obs.metrics import metrics
 
     seed = report.seed

@@ -48,10 +48,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.types import OptimizationRequest
+from repro.dispatch.plane import DispatchPlane, DispatchPolicy
 from repro.engine.engine import ExperimentEngine
 from repro.errors import (
     ApiError,
@@ -67,18 +68,6 @@ from repro.service.broker import SweepBroker
 from repro.service.journal import JobJournal
 from repro.service.quotas import QuotaPolicy, TenantQuotas
 from repro.service.warmcache import WarmResultStore
-
-if TYPE_CHECKING:
-    from repro.dispatch.plane import DispatchPlane, DispatchPolicy
-
-
-def _default_dispatch_policy() -> DispatchPolicy:
-    # Imported lazily: repro.dispatch.plane itself depends on
-    # repro.service.breaker, so a module-level import here would close
-    # an import cycle through the package __init__.
-    from repro.dispatch.plane import DispatchPolicy
-
-    return DispatchPolicy()
 
 #: Largest accepted request body; optimization requests are tiny.
 MAX_BODY_BYTES: int = 1 << 20
@@ -137,7 +126,7 @@ class ServiceConfig:
     #: out to them (local-pool fallback when none is healthy).
     workers: bool = False
     #: Worker-plane tunables (leases, heartbeats, hedging).
-    dispatch: DispatchPolicy = field(default_factory=_default_dispatch_policy)
+    dispatch: DispatchPolicy = field(default_factory=DispatchPolicy)
 
 
 class SweepService:
@@ -164,8 +153,6 @@ class SweepService:
         # executor seam decides remote-vs-local per batch.
         self.plane: DispatchPlane | None = None
         if config.workers:
-            from repro.dispatch.plane import DispatchPlane
-
             self.plane = DispatchPlane(policy=config.dispatch)
             engine.dispatcher = self.plane
         self._server: asyncio.base_events.Server | None = None

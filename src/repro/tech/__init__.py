@@ -10,11 +10,7 @@ on:
 * :mod:`repro.tech.palacharla` — instruction queue wakeup + select delays.
 """
 
-from repro.tech.parameters import TechnologyParameters, technology
-from repro.tech.wires import unbuffered_wire_delay_ns
-from repro.tech.repeaters import RepeaterDesign, buffered_wire_delay_ns, optimal_repeaters
-from repro.tech.cacti import CacheIncrementTiming, cache_bus_length_mm, structure_height_mm
-from repro.tech.palacharla import IssueQueueTiming, queue_bus_length_mm
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TechnologyParameters",
@@ -29,3 +25,15 @@ __all__ = [
     "IssueQueueTiming",
     "queue_bus_length_mm",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.tech.parameters": ("TechnologyParameters", "technology"),
+    "repro.tech.wires": ("unbuffered_wire_delay_ns",),
+    "repro.tech.repeaters": (
+        "RepeaterDesign", "buffered_wire_delay_ns", "optimal_repeaters",
+    ),
+    "repro.tech.cacti": (
+        "CacheIncrementTiming", "cache_bus_length_mm", "structure_height_mm",
+    ),
+    "repro.tech.palacharla": ("IssueQueueTiming", "queue_bus_length_mm"),
+})

@@ -25,11 +25,7 @@ Modules
     Page-footprint profiles for the suite's applications.
 """
 
-from repro.tlb.simulator import PageStackEngine, TlbDepthHistogram
-from repro.tlb.timing import TlbTimingModel, TLB_TOTAL_ENTRIES, TLB_INCREMENT
-from repro.tlb.tpi import TlbTpiModel, TlbBreakdown
-from repro.tlb.adaptive import AdaptiveTlb
-from repro.tlb.workloads import tlb_profile_for, TlbProfile
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PageStackEngine",
@@ -43,3 +39,11 @@ __all__ = [
     "tlb_profile_for",
     "TlbProfile",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.tlb.simulator": ("PageStackEngine", "TlbDepthHistogram"),
+    "repro.tlb.timing": ("TLB_INCREMENT", "TLB_TOTAL_ENTRIES", "TlbTimingModel"),
+    "repro.tlb.tpi": ("TlbBreakdown", "TlbTpiModel"),
+    "repro.tlb.adaptive": ("AdaptiveTlb",),
+    "repro.tlb.workloads": ("TlbProfile", "tlb_profile_for"),
+})

@@ -24,23 +24,7 @@ and (b) the window-size dependence of each instruction stream's
 extractable ILP; both are exactly what the profiles parameterise.
 """
 
-from repro.workloads.profiles import (
-    BenchmarkProfile,
-    ComponentKind,
-    IlpProfile,
-    MemoryProfile,
-    Suite,
-    WorkingSetComponent,
-)
-from repro.workloads.address_trace import generate_address_trace
-from repro.workloads.instruction_trace import InstructionTrace, generate_instruction_trace
-from repro.workloads.phases import PhaseSegment, PhasedWorkload
-from repro.workloads.suite import (
-    all_profiles,
-    cache_study_profiles,
-    get_profile,
-    queue_study_profiles,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BenchmarkProfile",
@@ -59,3 +43,18 @@ __all__ = [
     "cache_study_profiles",
     "queue_study_profiles",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.workloads.profiles": (
+        "BenchmarkProfile", "ComponentKind", "IlpProfile", "MemoryProfile", "Suite",
+        "WorkingSetComponent",
+    ),
+    "repro.workloads.address_trace": ("generate_address_trace",),
+    "repro.workloads.instruction_trace": (
+        "InstructionTrace", "generate_instruction_trace",
+    ),
+    "repro.workloads.phases": ("PhaseSegment", "PhasedWorkload"),
+    "repro.workloads.suite": (
+        "all_profiles", "cache_study_profiles", "get_profile", "queue_study_profiles",
+    ),
+})

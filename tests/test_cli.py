@@ -59,15 +59,30 @@ class TestParser:
     @pytest.mark.parametrize(
         "option, message",
         [
-            (["--jobs", "0"], "jobs must be >= 1"),
-            (["--chunk-size", "0"], "chunk_size must be >= 1"),
-            (["--retries", "0"], "max_attempts must be >= 1"),
-            (["--cache-dir", __file__], "is not a directory"),
+            (["figure", "2", "--jobs", "0"], "jobs must be >= 1"),
+            (["figure", "2", "--chunk-size", "0"], "chunk_size must be >= 1"),
+            (["figure", "2", "--retries", "0"], "max_attempts must be >= 1"),
+            (["figure", "2", "--cache-dir", __file__], "is not a directory"),
+            (["cache-clear", "--cache-dir", __file__], "is not a directory"),
         ],
     )
     def test_invalid_engine_option_is_a_one_line_error(self, option, message):
+        """``option`` is a whole command line carrying one bad engine option."""
         with pytest.raises(SystemExit, match=f"^error: .*{message}"):
-            main(["figure", "2", *option])
+            main(option)
+
+    def test_unknown_cell_kind_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cache-clear", "--cache-dir", "x", "--kind", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err and "'cache_tpi'" in err
+
+    def test_cache_clear_help_lists_the_cell_kinds(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cache-clear", "--help"])
+        assert exc.value.code == 0
+        assert "cache_tpi" in capsys.readouterr().out
 
 
 class TestCommands:
