@@ -75,9 +75,9 @@ chaos-smoke:
 
 # Boot `repro serve --workers` plus two real `repro worker` processes,
 # drive a fixed-seed loadtest at the service, SIGKILL one worker while
-# the load is in flight, and assert the SLOs still hold, chunks were
-# dispatched remotely, and SIGTERM drains cleanly.  Mirrors the CI
-# distributed job.
+# it holds a lease, and assert the SLOs still hold, chunks were
+# dispatched remotely, at least one lease failed over, and SIGTERM
+# drains cleanly.  Mirrors the CI distributed job.
 distributed-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/distributed_smoke.py
 

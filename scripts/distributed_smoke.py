@@ -3,14 +3,18 @@
 Boots ``repro serve --workers`` on an ephemeral port as a real
 subprocess, registers two real ``repro worker`` subprocesses against
 it, drives a fixed-seed ``repro loadtest`` at the service, and SIGKILLs
-one worker while the load is in flight.  Asserts:
+one worker as soon as ``GET /v1/workers`` shows it holding a lease.
+Asserts:
 
 * both workers register (observed via ``GET /v1/workers``),
+* the kill lands while the loadtest is still running,
 * the loadtest exits 0 with every SLO met despite the mid-run kill,
 * a ``distributed-seed``-labelled run record landed in the benchmark
   trajectory file,
 * the service actually dispatched chunks remotely
   (``repro_dispatch_remote_chunks_total`` > 0 on ``/metrics``),
+* the killed worker's lease failed over
+  (``repro_dispatch_failovers_total`` >= 1 on ``/metrics``),
 * SIGTERM drains the server to a clean exit 0.
 
 Usage: ``PYTHONPATH=src python scripts/distributed_smoke.py``
@@ -33,9 +37,9 @@ from pathlib import Path
 DEADLINE_S = 240.0
 READY_PATTERN = re.compile(r"serving on (http://[\w.\-]+:\d+)")
 
-#: How long the loadtest runs before the kill lands; long enough that
-#: requests are still in flight, short enough that the kill is mid-run.
-KILL_AFTER_S = 0.75
+#: Requests per tenant: enough that the load outlasts the kill and more
+#: leases are offered to the dead worker before it is excluded.
+REQUESTS_PER_TENANT = 40
 
 
 def fail(procs: list[subprocess.Popen], message: str) -> None:
@@ -73,6 +77,11 @@ def get_json(url: str) -> dict:
         return json.loads(response.read().decode("utf-8"))
 
 
+def metric(metrics_text: str, name: str) -> float:
+    match = re.search(rf"^{name}\s+(\S+)", metrics_text, re.M)
+    return float(match.group(1)) if match else 0.0
+
+
 def main() -> None:
     deadline = time.monotonic() + DEADLINE_S
     tmp = Path(tempfile.mkdtemp(prefix="repro-distributed-smoke-"))
@@ -97,6 +106,7 @@ def main() -> None:
     print(f"service up at {url}")
 
     workers = []
+    worker_urls = []
     for i in range(2):
         worker = subprocess.Popen(
             [
@@ -108,7 +118,7 @@ def main() -> None:
         )
         procs.append(worker)
         workers.append(worker)
-        wait_for_ready(worker, procs, deadline)
+        worker_urls.append(wait_for_ready(worker, procs, deadline))
 
     while time.monotonic() < deadline:
         roster = get_json(f"{url}/v1/workers")["workers"]
@@ -118,11 +128,15 @@ def main() -> None:
     else:
         fail(procs, "two workers never registered")
     print(f"workers registered: {[w['worker_id'] for w in roster]}")
+    # The plane offers a batch's first chunk to the lowest worker id.
+    victim_id = roster[0]["worker_id"]
+    victim = workers[worker_urls.index(roster[0]["url"])]
 
     loadtest = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "loadtest", "--url", url,
-            "--tenants", "2", "--requests", "6", "--seed", "0",
+            "--tenants", "2", "--requests", str(REQUESTS_PER_TENANT),
+            "--seed", "0",
             "--warm-fraction", "0.25",
             "--label", "distributed-seed", "--bench", str(bench_path),
         ],
@@ -130,13 +144,22 @@ def main() -> None:
     )
     procs.append(loadtest)
 
-    # SIGKILL one worker while the load is in flight: leases it held
-    # fail over, heartbeats stop, and the roster self-heals — the SLO
-    # verdict below is the proof the clients never noticed.
-    time.sleep(KILL_AFTER_S)
-    workers[0].kill()
-    workers[0].wait(timeout=10)
-    print("killed one worker mid-run")
+    # SIGKILL the victim once it provably holds a lease: that lease, and
+    # any offered to the dead worker before its breaker opens, fail
+    # over, and the SLO verdict below is the proof the clients never
+    # noticed.
+    while True:
+        if loadtest.poll() is not None:
+            fail(procs, f"the loadtest ended before {victim_id} held a lease")
+        if time.monotonic() > deadline:
+            fail(procs, f"{victim_id} never held a lease")
+        roster = get_json(f"{url}/v1/workers")["workers"]
+        if any(w["worker_id"] == victim_id and w["leases"] for w in roster):
+            break
+        time.sleep(0.005)
+    victim.kill()
+    victim.wait(timeout=10)
+    print(f"killed worker {victim_id} while it held a lease")
 
     output, _ = loadtest.communicate(timeout=max(1.0, deadline - time.monotonic()))
     print(output, end="")
@@ -153,13 +176,14 @@ def main() -> None:
 
     with urllib.request.urlopen(f"{url}/metrics", timeout=10) as response:
         metrics_text = response.read().decode("utf-8")
-    match = re.search(
-        r"^repro_dispatch_remote_chunks_total\s+(\S+)", metrics_text, re.M
-    )
-    remote_chunks = float(match.group(1)) if match else 0.0
+    remote_chunks = metric(metrics_text, "repro_dispatch_remote_chunks_total")
     if remote_chunks <= 0:
         fail(procs, "no chunks were dispatched remotely")
     print(f"remote chunks dispatched: {remote_chunks:.0f}")
+    failovers = metric(metrics_text, "repro_dispatch_failovers_total")
+    if failovers < 1:
+        fail(procs, "killing a leaseholder recorded no lease failover")
+    print(f"lease failovers: {failovers:.0f}")
 
     server.send_signal(signal.SIGTERM)
     try:

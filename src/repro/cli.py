@@ -450,7 +450,7 @@ def _obs_summarize(path: str) -> int:
 
     try:
         print(summarize_path(path))
-    except ObservabilityError as exc:
+    except (ObservabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -463,7 +463,7 @@ def _obs_critical_path(path: str, trace_id: str | None) -> int:
 
     try:
         report = critical_path(read_records(path), trace_id=trace_id)
-    except ObservabilityError as exc:
+    except (ObservabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(format_report(report))
@@ -641,9 +641,11 @@ def _loadtest(args) -> int:
     return 0 if report.passed else 1
 
 
-def _query(args, engine: ExperimentEngine) -> int:
-    """Answer one optimization request, locally or against a service."""
-    from repro.api.query import run_query
+def _query(args, engine: ExperimentEngine | None) -> int:
+    """Answer one optimization request, locally or against a service.
+
+    A remote query (``--url``) gets no engine and loads none of it.
+    """
     from repro.api.types import OptimizationRequest
     from repro.errors import ReproError
 
@@ -658,13 +660,15 @@ def _query(args, engine: ExperimentEngine) -> int:
             from repro.service.client import ServiceClient
 
             return ServiceClient(args.url).optimize(request)
+        from repro.api.query import run_query
+
         return run_query(request, engine=engine)
 
     try:
         result = _run_observed(
             args, "query", ask, structure=args.structure, workload=args.workload
         )
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:  # OSError: the service is unreachable
         print(f"error: {exc}", file=sys.stderr)
         return 1
     request = result.request
@@ -1076,7 +1080,7 @@ def _dispatch(args) -> int:
         print(format_report(report))
         return 0 if report.passed else 1
     elif args.command == "query":
-        return _query(args, _engine_from_args(args))
+        return _query(args, None if args.url else _engine_from_args(args))
     elif args.command == "lint":
         from repro.analysis import main as lint_main
 

@@ -9,18 +9,18 @@ The engine's chunked cell batches normally fan out over a local
 * :mod:`repro.dispatch.plane` — the broker-side plane: the
   :class:`WorkerRegistry` (registration, heartbeats, per-worker circuit
   breakers), time-bounded **leases** over chunks, failover re-enqueue
-  when a lease dies, deterministic percentile-based **hedging** of
-  stragglers, and the :class:`RemoteExecutor` the engine drives through
-  the same seam as :class:`~repro.resilience.ResilientExecutor`;
+  when a lease dies, and the :class:`RemoteExecutor` the engine drives
+  through the same seam as :class:`~repro.resilience.ResilientExecutor`;
 * :mod:`repro.dispatch.worker` — the ``repro worker`` process: a
   stdlib asyncio HTTP server evaluating leased chunks, registering
   with a broker and heartbeating while it computes.
 
-Results are deduplicated before delivery and every downstream write
-(result cache, warm store) is keyed by the cell's
-content address, so double-completion after a failover or a hedge is
-harmless.  With zero healthy workers the plane steps aside and the
-engine degrades to the local pool — no API change, near-zero overhead.
+The lease is the one owner of a slow, hung or dead worker: a chunk
+holds at most one lease, and an expired lease or a lost connection
+fails it over to another worker, then to the local pool, so each chunk
+is delivered once.  With zero healthy workers the plane steps aside and
+the engine degrades to the local pool — no API change, near-zero
+overhead.
 """
 
 from repro._lazy import lazy_exports

@@ -1,4 +1,4 @@
-"""Broker-side dispatch plane: registry, leases, failover, hedging.
+"""Broker-side dispatch plane: registry, leases, failover.
 
 The plane is the engine's window onto remote ``repro worker``
 processes.  Three pieces cooperate:
@@ -6,23 +6,21 @@ processes.  Three pieces cooperate:
 :class:`WorkerRegistry`
     Thread-safe roster of registered workers.  Each worker carries its
     own :class:`~repro.service.breaker.CircuitBreaker` (the same class
-    that guards the broker's engine) so a flapping host is quarantined
-    without shedding the whole plane, plus heartbeat bookkeeping: a
-    worker that misses ``heartbeat_timeout_s`` is declared dead and its
-    leases fail over.
+    that guards the broker's engine, built unexported so it never
+    writes the broker's ``repro_service_breaker_*`` metrics) so a
+    flapping host is quarantined without shedding the whole plane,
+    plus heartbeat bookkeeping: a worker that misses
+    ``heartbeat_timeout_s`` is declared dead and its leases fail over.
 
 :class:`RemoteExecutor`
     Drop-in sibling of :class:`~repro.resilience.ResilientExecutor`
     behind the engine's executor seam.  Chunks are assigned to workers
     under **time-bounded leases** (the lease deadline doubles as the
     HTTP timeout); a dead connection, an expired lease, or a reaped
-    worker re-enqueues the chunk onto the next healthy worker.  When
-    the queue drains but leases are still outstanding, the slowest are
-    **hedged**: after a deterministic percentile-based delay the chunk
-    is re-issued to a second worker and the first result wins.  Every
-    delivery is deduplicated by the chunk's **cell content-address**
-    before it reaches the engine, so double-completion after a
-    failover or hedge can never double-write the cache.
+    worker re-enqueues the chunk onto the next healthy worker, and past
+    ``max_lease_failovers`` onto the local pool.  A chunk holds at most
+    one lease at a time, so each chunk reaches the engine exactly once;
+    a slow but live worker keeps its chunk until the lease expires.
 
 :class:`DispatchPlane`
     The factory the engine holds.  ``executor(...)`` returns a
@@ -36,7 +34,6 @@ Everything is observable: ``repro_dispatch_*`` metrics plus
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import threading
@@ -48,7 +45,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
-from repro.dispatch.wire import decode_pairs, encode_cells, evaluate_request
+from repro.dispatch.wire import decode_pairs, evaluate_request
 from repro.engine.cells import SweepCell
 from repro.errors import (
     CircuitOpenError,
@@ -89,13 +86,6 @@ class DispatchPolicy:
         registration).
     heartbeat_timeout_s:
         Silence after which a worker is declared dead and reaped.
-    hedge_percentile, hedge_factor, hedge_min_completed, hedge_floor_s:
-        A straggler is hedged once its lease has been outstanding for
-        ``max(hedge_floor_s, factor * percentile(completed walls))``,
-        computed over this run's completed chunks — deterministic, no
-        randomness — and only once ``hedge_min_completed`` chunks have
-        finished (before that there is no baseline to call anything a
-        straggler against).
     max_lease_failovers:
         Lost leases tolerated per chunk before it stops being offered
         to workers and falls back to local evaluation.
@@ -110,10 +100,6 @@ class DispatchPolicy:
     lease_s: float = 30.0
     heartbeat_interval_s: float = 1.0
     heartbeat_timeout_s: float = 5.0
-    hedge_percentile: float = 0.95
-    hedge_factor: float = 3.0
-    hedge_min_completed: int = 3
-    hedge_floor_s: float = 0.05
     max_lease_failovers: int = 3
     worker_failure_threshold: int = 2
     worker_breaker_reset_s: float = 5.0
@@ -131,18 +117,6 @@ class DispatchPolicy:
             raise ServiceError(
                 "heartbeat_timeout_s must exceed heartbeat_interval_s "
                 f"({self.heartbeat_timeout_s} <= {self.heartbeat_interval_s})"
-            )
-        if not 0.0 < self.hedge_percentile <= 1.0:
-            raise ServiceError(
-                f"hedge_percentile must be in (0, 1], got {self.hedge_percentile}"
-            )
-        if self.hedge_factor < 1.0:
-            raise ServiceError(
-                f"hedge_factor must be >= 1, got {self.hedge_factor}"
-            )
-        if self.hedge_min_completed < 1:
-            raise ServiceError(
-                f"hedge_min_completed must be >= 1, got {self.hedge_min_completed}"
             )
         if self.max_lease_failovers < 0:
             raise ServiceError(
@@ -225,6 +199,7 @@ class WorkerRegistry:
                         reset_timeout_s=self.policy.worker_breaker_reset_s,
                     ),
                     clock=self.clock,
+                    exported=False,
                 ),
                 registered_at=now,
                 last_beat=now,
@@ -373,19 +348,6 @@ def _post_json(
         conn.close()
 
 
-def hedge_delay_s(walls: Sequence[float], policy: DispatchPolicy) -> float:
-    """Deterministic straggler threshold from completed chunk walls.
-
-    The nearest-rank percentile of the observed walls, scaled by the
-    hedge factor and floored — pure arithmetic over this run's own
-    completions, so the same run hedges at the same instant every time.
-    """
-    ordered = sorted(walls)
-    rank = max(0, min(len(ordered) - 1,
-                      int(policy.hedge_percentile * len(ordered) + 0.999999) - 1))
-    return max(policy.hedge_floor_s, ordered[rank] * policy.hedge_factor)
-
-
 @dataclass
 class _Lease:
     """One outstanding evaluate call."""
@@ -395,7 +357,6 @@ class _Lease:
     worker_id: str
     url: str
     started: float
-    hedge: bool = False
 
 
 class RemoteExecutor:
@@ -450,25 +411,12 @@ class RemoteExecutor:
         if not chunks:
             return []
         n = len(chunks)
-        # Content address per chunk: deliveries are deduplicated on it,
-        # so a hedge loser or post-failover double completion can never
-        # reach the cache-writing callback twice.
-        self._content_keys = [
-            hashlib.sha256(
-                json.dumps(encode_cells(c), sort_keys=True).encode("utf-8")
-            ).hexdigest()[:16]
-            for c in chunks
-        ]
         results: dict[int, ChunkResult] = {}
-        delivered: set[str] = set()
         attempts = {i: 0 for i in range(n)}
         lease_failures = {i: 0 for i in range(n)}
         ready_at = {i: 0.0 for i in range(n)}
         pending: list[int] = list(range(n))
-        completed_walls: list[float] = []
-        hedged: set[int] = set()
         inflight: dict[Future, _Lease] = {}
-        outstanding: dict[int, list[_Lease]] = {}
         slots = sum(w.slots for w in self.plane.registry.workers())
         pool = ThreadPoolExecutor(
             max_workers=max(2, min(32, 2 * max(1, slots))),
@@ -476,13 +424,8 @@ class RemoteExecutor:
         )
         try:
             while pending or inflight:
-                self._assign(
-                    pool, chunks, pending, attempts, ready_at,
-                    inflight, outstanding,
-                )
+                self._assign(pool, chunks, pending, attempts, ready_at, inflight)
                 if not inflight:
-                    if not pending:
-                        break
                     if not self.plane.registry.healthy():
                         break  # nobody left to lease to: go local below
                     self._sleep(self.plane.policy.poll_interval_s)
@@ -494,99 +437,45 @@ class RemoteExecutor:
                 )
                 for fut in done:
                     self._harvest(
-                        fut, inflight.pop(fut), chunks, pending, attempts,
-                        lease_failures, ready_at, results, delivered,
-                        completed_walls, outstanding, on_chunk_done,
+                        fut, inflight.pop(fut), pending, attempts,
+                        lease_failures, ready_at, results, on_chunk_done,
                     )
-                self._maybe_hedge(
-                    pool, chunks, pending, attempts, results,
-                    completed_walls, hedged, inflight, outstanding,
-                )
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         remaining = sorted(i for i in range(n) if i not in results)
         if remaining:
-            self._run_local_fallback(
-                chunks, remaining, results, delivered, on_chunk_done
-            )
+            self._run_local_fallback(chunks, remaining, results, on_chunk_done)
         return [results[i] for i in range(n)]
 
     # -- scheduling --------------------------------------------------------
 
-    def _assign(
-        self, pool, chunks, pending, attempts, ready_at, inflight, outstanding
-    ) -> None:
-        if not pending:
-            return
+    def _assign(self, pool, chunks, pending, attempts, ready_at, inflight) -> None:
+        """Lease every ready pending chunk while a worker has a free slot."""
         now = self._clock()
         for i in sorted(pending):
             if ready_at[i] > now:
                 continue
-            worker = self._pick_worker(outstanding_chunk=None, exclude=frozenset())
+            worker = self._pick_worker()
             if worker is None:
                 return
             pending.remove(i)
-            self._issue(pool, worker, chunks, i, attempts[i],
-                        inflight, outstanding, hedge=False)
-
-    def _pick_worker(self, outstanding_chunk, exclude) -> WorkerState | None:
-        candidates = [
-            w
-            for w in self.plane.registry.healthy()
-            if w.worker_id not in exclude and len(w.leases) < w.slots
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda w: (len(w.leases), w.worker_id))
-
-    def _issue(
-        self, pool, worker, chunks, chunk, attempt, inflight, outstanding,
-        hedge,
-    ) -> None:
-        self.plane.registry.lease(worker.worker_id, chunk)
-        lease = _Lease(
-            chunk=chunk,
-            attempt=attempt,
-            worker_id=worker.worker_id,
-            url=worker.url,
-            started=self._clock(),
-            hedge=hedge,
-        )
-        future = pool.submit(self._call, lease, chunks[chunk])
-        inflight[future] = lease
-        outstanding.setdefault(chunk, []).append(lease)
-
-    def _maybe_hedge(
-        self, pool, chunks, pending, attempts, results,
-        completed_walls, hedged, inflight, outstanding,
-    ) -> None:
-        policy = self.plane.policy
-        if pending or len(completed_walls) < policy.hedge_min_completed:
-            return
-        delay_s = hedge_delay_s(completed_walls, policy)
-        now = self._clock()
-        for lease in list(inflight.values()):
-            chunk = lease.chunk
-            if chunk in hedged or chunk in results:
-                continue
-            if len(outstanding.get(chunk, [])) > 1:
-                continue
-            if now - lease.started < delay_s:
-                continue
-            worker = self._pick_worker(
-                outstanding_chunk=chunk, exclude=frozenset({lease.worker_id})
+            self.plane.registry.lease(worker.worker_id, i)
+            lease = _Lease(
+                chunk=i,
+                attempt=attempts[i],
+                worker_id=worker.worker_id,
+                url=worker.url,
+                started=self._clock(),
             )
-            if worker is None:
-                return
-            hedged.add(chunk)
-            # The straggler's attempt is written off, exactly as the
-            # local executor charges chunks lost to a pool death — the
-            # hedge runs as a fresh attempt so a planned fault does not
-            # re-fire on the rescuer.
-            attempts[chunk] += 1
-            self._note_hedge(chunk, attempts[chunk], lease, worker, delay_s)
-            self._issue(pool, worker, chunks, chunk, attempts[chunk],
-                        inflight, outstanding, hedge=True)
+            inflight[pool.submit(self._call, lease, chunks[i])] = lease
+
+    def _pick_worker(self) -> WorkerState | None:
+        candidates = [
+            w for w in self.plane.registry.healthy() if len(w.leases) < w.slots
+        ]
+        return min(
+            candidates, key=lambda w: (len(w.leases), w.worker_id), default=None
+        )
 
     # -- one evaluate call -------------------------------------------------
 
@@ -631,14 +520,10 @@ class RemoteExecutor:
     # -- harvesting --------------------------------------------------------
 
     def _harvest(
-        self, future, lease, chunks, pending, attempts, lease_failures,
-        ready_at, results, delivered, completed_walls, outstanding,
-        on_chunk_done,
+        self, future, lease, pending, attempts, lease_failures, ready_at,
+        results, on_chunk_done,
     ) -> None:
         chunk = lease.chunk
-        leases = outstanding.get(chunk, [])
-        if lease in leases:
-            leases.remove(lease)
         self.plane.registry.release(lease.worker_id, chunk)
         worker = self._worker_state(lease.worker_id)
         try:
@@ -648,10 +533,6 @@ class RemoteExecutor:
                 worker.breaker.record_failure()
             if getattr(exc, "lease_expired", False):
                 self._note_lease_expired(lease)
-            if chunk in results:
-                return  # a hedge already rescued this chunk
-            if leases:
-                return  # a sibling lease is still working the chunk
             attempts[chunk] += 1  # advance the fault schedule, like _reap_after_death
             lease_failures[chunk] += 1
             self.report.lost_chunks += 1
@@ -665,8 +546,6 @@ class RemoteExecutor:
             if worker is not None:
                 # The worker answered coherently; its transport is fine.
                 worker.breaker.record_success()
-            if chunk in results:
-                return
             if (
                 self.policy.is_transient(exc)
                 and attempts[chunk] + 1 < self.policy.max_attempts
@@ -676,8 +555,7 @@ class RemoteExecutor:
                 ready_at[chunk] = self._clock() + self.policy.delay_s(
                     attempts[chunk], token=str(chunk)
                 )
-                if chunk not in pending:
-                    pending.append(chunk)
+                pending.append(chunk)
                 return
             raise FatalError(
                 f"chunk {chunk} failed after {attempts[chunk] + 1} "
@@ -686,10 +564,10 @@ class RemoteExecutor:
         if worker is not None:
             worker.breaker.record_success()
         wall_s = self._clock() - lease.started
-        if not self._deliver(chunk, pairs, results, delivered, lease,
-                             on_chunk_done):
+        if not self._deliver(
+            chunk, pairs, results, lease.worker_id, on_chunk_done
+        ):
             return
-        completed_walls.append(wall_s)
         metrics().counter(
             "repro_dispatch_remote_chunks_total",
             "chunks completed by remote workers",
@@ -698,19 +576,15 @@ class RemoteExecutor:
             "repro_dispatch_chunk_seconds",
             "remote chunk wall time, lease issue to delivery",
         ).observe(wall_s)
-        if lease.hedge:
-            self._note_hedge_win(lease, wall_s)
         self._write_spans(spans, lease)
 
     def _deliver(
-        self, chunk, pairs, results, delivered, lease, on_chunk_done
+        self, chunk, pairs, results, worker_id, on_chunk_done
     ) -> bool:
-        """Content-addressed dedup in front of the engine callback."""
-        key = self._content_keys[chunk]
-        if key in delivered or chunk in results:
-            self._note_duplicate(lease, key)
+        """Hand one chunk's result to the engine callback, at most once."""
+        if chunk in results:
+            self._note_duplicate(chunk, worker_id)
             return False
-        delivered.add(key)
         results[chunk] = pairs
         if on_chunk_done is not None:
             on_chunk_done(chunk, pairs)
@@ -725,7 +599,7 @@ class RemoteExecutor:
     # -- local degradation -------------------------------------------------
 
     def _run_local_fallback(
-        self, chunks, remaining, results, delivered, on_chunk_done
+        self, chunks, remaining, results, on_chunk_done
     ) -> None:
         """Finish leftover chunks on the local pool.
 
@@ -744,17 +618,9 @@ class RemoteExecutor:
             trace_ctx=self.trace_ctx,
             shard_dir=self.shard_dir,
         )
-        index_of = {j: i for j, i in enumerate(remaining)}
 
         def relay(j: int, pairs: ChunkResult) -> None:
-            chunk = index_of[j]
-            key = self._content_keys[chunk]
-            if key in delivered or chunk in results:
-                return
-            delivered.add(key)
-            results[chunk] = pairs
-            if on_chunk_done is not None:
-                on_chunk_done(chunk, pairs)
+            self._deliver(remaining[j], pairs, results, "local", on_chunk_done)
 
         fallback.run([chunks[i] for i in remaining], on_chunk_done=relay)
         local = fallback.report
@@ -812,41 +678,14 @@ class RemoteExecutor:
             chunk, exc, attempt, self.policy.max_attempts - 1,
         )
 
-    def _note_hedge(self, chunk, attempt, slow_lease, worker, delay_s) -> None:
-        metrics().counter(
-            "repro_dispatch_hedges_total",
-            "straggler leases re-issued to a second worker",
-        ).inc()
-        self._event(
-            "dispatch.hedge",
-            chunk=chunk, attempt=attempt,
-            slow_worker=slow_lease.worker_id, hedge_worker=worker.worker_id,
-            threshold_s=delay_s,
-        )
-        _LOG.info(
-            "chunk %d: outstanding past %.3gs on worker %s; hedging to %s",
-            chunk, delay_s, slow_lease.worker_id, worker.worker_id,
-        )
-
-    def _note_hedge_win(self, lease: _Lease, wall_s: float) -> None:
-        metrics().counter(
-            "repro_dispatch_hedge_wins_total",
-            "hedged re-issues that beat the original lease",
-        ).inc()
-        self._event(
-            "dispatch.hedge_win",
-            chunk=lease.chunk, worker_id=lease.worker_id, wall_s=wall_s,
-        )
-
-    def _note_duplicate(self, lease: _Lease, key: str) -> None:
+    def _note_duplicate(self, chunk: int, worker_id: str) -> None:
         metrics().counter(
             "repro_dispatch_duplicate_results_total",
-            "completed leases discarded because the chunk was already "
-            "delivered (hedge losers, post-failover double completion)",
+            "completed chunks discarded because the chunk was already "
+            "delivered",
         ).inc()
         self._event(
-            "dispatch.duplicate_result",
-            chunk=lease.chunk, worker_id=lease.worker_id, content_key=key,
+            "dispatch.duplicate_result", chunk=chunk, worker_id=worker_id
         )
 
     def _note_local_fallback(self, n_chunks: int) -> None:

@@ -94,8 +94,6 @@ EVENT_NAMES: frozenset[str] = frozenset(
         "controller.phase_change",
         "dispatch.duplicate_result",
         "dispatch.failover",
-        "dispatch.hedge",
-        "dispatch.hedge_win",
         "dispatch.lease_expired",
         "dispatch.local_fallback",
         "dispatch.worker_dead",
@@ -118,7 +116,6 @@ EVENT_NAMES: frozenset[str] = frozenset(
         "robust.tpi_regression",
         "robust.watchdog_fallback",
         "service.batch_flush",
-        "service.batch_requeued",
         "service.breaker_transition",
         "service.deadline_exceeded",
         "service.draining",
@@ -177,13 +174,11 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "repro_engine_retries_total",
         "repro_engine_runs_total",
         "repro_engine_serial_fallbacks_total",
-        # Distributed worker plane (leases, heartbeats, hedges).
+        # Distributed worker plane (leases, heartbeats, failover).
         "repro_dispatch_chunk_seconds",
         "repro_dispatch_duplicate_results_total",
         "repro_dispatch_failovers_total",
         "repro_dispatch_heartbeats_total",
-        "repro_dispatch_hedge_wins_total",
-        "repro_dispatch_hedges_total",
         "repro_dispatch_lease_expired_total",
         "repro_dispatch_leases_total",
         "repro_dispatch_local_fallbacks_total",
@@ -206,7 +201,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "repro_robust_watchdog_regressions_total",
         # Sweep service.
         "repro_service_batch_cells",
-        "repro_service_batch_requeues_total",
         "repro_service_batches_total",
         "repro_service_breaker_state",
         "repro_service_breaker_transitions_total",

@@ -21,10 +21,13 @@ into a furnace.  The classic three-state breaker sheds that load:
     restarts the cooldown.
 
 The clock is injectable (monotonic by default) so tests drive the
-cooldown deterministically.  State is exported as the
-``repro_service_breaker_state`` gauge (0 closed, 1 open, 2 half-open),
-every transition bumps ``repro_service_breaker_transitions_total`` and
-emits a ``service.breaker_transition`` event.
+cooldown deterministically.  The broker's breaker exports its state as
+the ``repro_service_breaker_state`` gauge (0 closed, 1 open, 2
+half-open); every transition bumps
+``repro_service_breaker_transitions_total`` and emits a
+``service.breaker_transition`` event.  The dispatch plane's per-worker
+breakers are built with ``exported=False``: they would overwrite that
+gauge, and ``GET /v1/workers`` already shows each worker's state.
 """
 
 from __future__ import annotations
@@ -73,13 +76,17 @@ class CircuitBreaker:
         self,
         policy: BreakerPolicy | None = None,
         clock: Callable[[], float] = time.monotonic,
+        *,
+        exported: bool = True,
     ) -> None:
         self.policy = policy if policy is not None else BreakerPolicy()
         self.clock = clock
+        self.exported = exported
         self._state = STATE_CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._export_state()
+        if exported:
+            self._export_state()
 
     @property
     def state(self) -> str:
@@ -133,6 +140,8 @@ class CircuitBreaker:
 
     def _transition(self, to_state: str) -> None:
         from_state, self._state = self._state, to_state
+        if not self.exported:
+            return
         self._export_state()
         metrics().counter(
             "repro_service_breaker_transitions_total",

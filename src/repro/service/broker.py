@@ -42,6 +42,12 @@ Crash-safety and overload-safety wrap this ladder (see
 * a :class:`~repro.service.breaker.CircuitBreaker` around the engine
   call sheds submissions with ``503`` + ``Retry-After`` while the
   engine is failing batches back to back (warm hits are still served).
+
+The broker re-runs nothing itself.  Any error out of ``engine.map``
+counts against the breaker and fails the batch's jobs; the engine's
+:class:`~repro.resilience.RetryPolicy` and executors have already
+retried what a retry can fix, and a shed caller retries after
+``Retry-After`` (as :class:`~repro.service.client.ServiceClient` does).
 """
 
 from __future__ import annotations
@@ -59,12 +65,7 @@ from repro.api.types import OptimizationRequest
 from repro.engine.cache import CellKeyer
 from repro.engine.cells import SweepCell
 from repro.engine.engine import ExperimentEngine
-from repro.errors import (
-    ApiError,
-    CircuitOpenError,
-    QuotaExceededError,
-    ServiceError,
-)
+from repro.errors import ApiError, QuotaExceededError, ServiceError
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
 from repro.obs.stitch import TraceContext
@@ -88,13 +89,6 @@ def _note_journal_error(future: "asyncio.Future[Any]") -> None:
     exc = future.exception()
     if exc is not None:
         _LOG.error("journal append failed: %s", exc)
-
-#: Times one job may be shed back into the queue by an engine-side
-#: ``CircuitOpenError`` before it is terminally failed.  Generous on
-#: purpose — an acked (possibly journal-resurrected) job should outwait
-#: a breaker cooldown, not die to it — but finite, so a permanently
-#: shedding engine cannot grow the queue forever.
-_MAX_SHED_ATTEMPTS: int = 16
 
 
 @dataclass
@@ -151,7 +145,6 @@ class SweepBroker:
         # fsyncs stay off the event loop (RPR009).
         self._journal_pool: ThreadPoolExecutor | None = None
         self._batch_task: asyncio.Task | None = None
-        self._requeue_tasks: set[asyncio.Task] = set()
         self._closed = False
         #: Cell identity of every job, under a fingerprint captured and
         #: serialized once: deriving the timing tables per request would
@@ -183,10 +176,6 @@ class SweepBroker:
         self._closed = True
         if self._wake is not None:
             self._wake.set()
-        # Batches parked by an engine-side shed would otherwise re-enter
-        # the queue after the drain; their jobs fail as shutdown below.
-        for parked in list(self._requeue_tasks):
-            parked.cancel()
         task = self._batch_task
         if task is not None:
             if drain_s is None:
@@ -565,18 +554,6 @@ class SweepBroker:
                     **attrs,
                 )
         if error is not None:
-            if isinstance(error, CircuitOpenError) and not self._closed:
-                # Engine-side shedding — e.g. the dispatch plane's
-                # worker breakers all open at startup — means "not
-                # now", not "never".  These jobs were already acked
-                # (journal-resurrected ones durably so); terminally
-                # failing them would turn a cooldown into data loss.
-                # Park the batch and re-enter the queue after the
-                # breaker's own retry hint.  The broker breaker records
-                # nothing: the engine refused the work, it did not
-                # fail it.
-                self._requeue_shed(batch, error)
-                return
             self.breaker.record_failure()
             for flight in batch:
                 self._flights.pop(flight.key, None)
@@ -608,68 +585,6 @@ class SweepBroker:
                     self._fail_deadline(job)
                 else:
                     self._finish(job, payload, source="computed")
-
-    def _requeue_shed(
-        self, batch: list[_Flight], error: CircuitOpenError
-    ) -> None:
-        """Park a shed batch and re-enqueue it after the cooldown hint.
-
-        Jobs past :data:`_MAX_SHED_ATTEMPTS` are failed instead — the
-        bound keeps a permanently shedding engine from growing the
-        queue without limit.  Flights stay in ``self._flights`` while
-        parked, so duplicate submissions keep single-flight merging and
-        :meth:`close` can still fail them as shutdown.
-        """
-        requeue: list[_Flight] = []
-        for flight in batch:
-            keep: list[Job] = []
-            for job in flight.jobs:
-                if job.attempts >= _MAX_SHED_ATTEMPTS:
-                    self._fail(
-                        job,
-                        f"shed {job.attempts} times by the engine breaker: "
-                        f"{error}",
-                    )
-                else:
-                    keep.append(job)
-            flight.jobs = keep
-            if keep:
-                requeue.append(flight)
-            else:
-                self._flights.pop(flight.key, None)
-        if not requeue:
-            return
-        delay_s = min(max(error.retry_after_s, 0.05), 5.0)
-        metrics().counter(
-            "repro_service_batch_requeues_total",
-            "batches re-enqueued after an engine-side breaker shed",
-        ).inc()
-        obs.event(
-            "service.batch_requeued",
-            n_flights=len(requeue),
-            n_jobs=sum(len(f.jobs) for f in requeue),
-            delay_s=delay_s,
-            error=str(error),
-        )
-        _LOG.warning(
-            "engine shed a batch of %d flight(s) (%s); re-queueing in %.3gs",
-            len(requeue), error, delay_s,
-        )
-        task = asyncio.create_task(self._requeue_later(requeue, delay_s))
-        self._requeue_tasks.add(task)
-        task.add_done_callback(self._requeue_tasks.discard)
-
-    async def _requeue_later(
-        self, flights: list[_Flight], delay_s: float
-    ) -> None:
-        await asyncio.sleep(delay_s)
-        if self._closed:
-            # close() raced the sleep: its shutdown sweep owns these
-            # flights now (they never left self._flights).
-            return
-        self._pending.extend(flights)
-        assert self._wake is not None
-        self._wake.set()
 
     # -- completion -------------------------------------------------------
 

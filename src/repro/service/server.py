@@ -125,7 +125,7 @@ class ServiceConfig:
     #: may register via ``/v1/workers/*`` and engine batches are leased
     #: out to them (local-pool fallback when none is healthy).
     workers: bool = False
-    #: Worker-plane tunables (leases, heartbeats, hedging).
+    #: Worker-plane tunables (leases, heartbeats, failover).
     dispatch: DispatchPolicy = field(default_factory=DispatchPolicy)
 
 

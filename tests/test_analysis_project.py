@@ -14,7 +14,6 @@ from __future__ import annotations
 import io
 import json
 import textwrap
-from pathlib import Path
 
 from repro.analysis import (
     EXIT_CLEAN,
@@ -25,7 +24,7 @@ from repro.analysis import (
     main as lint_main,
     render_sarif,
 )
-from repro.analysis.callgraph import KIND_FUNCTION, CallGraph
+from repro.analysis.callgraph import KIND_FUNCTION
 from repro.analysis.project import ProjectContext, summarize, summary_from_json
 from repro.analysis.runner import make_context
 

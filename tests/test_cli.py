@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -136,6 +138,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "average reduction" in out
         assert "stereo" in out
+
+    def test_unreachable_service_is_a_one_line_error(self, capsys):
+        with socket.socket() as sock:  # a port nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        url = f"http://127.0.0.1:{port}"
+        assert main(["query", "tlb", "compress", "--url", url]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["summarize", "critical-path"])
+    def test_missing_trace_file_is_a_one_line_error(
+        self, command, tmp_path, capsys
+    ):
+        assert main(["obs", command, str(tmp_path / "absent.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "absent.jsonl" in err
 
     def test_cache_verify_reports_and_sets_exit_code(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"

@@ -1,19 +1,18 @@
-"""The distributed dispatch plane: leases, heartbeats, failover, hedging.
+"""The distributed dispatch plane: leases, heartbeats, failover.
 
-The acceptance story of the worker-plane PR:
+What the worker plane must guarantee:
 
 * ``WorkerRegistry`` is a deterministic roster — ids in registration
   order, heartbeat-driven reaping, a per-worker circuit breaker gating
-  lease eligibility;
+  lease eligibility that never writes the broker breaker's metrics;
 * the wire format round-trips cells, fault plans and trace contexts
   byte-identically, so a remote evaluation is indistinguishable from a
   local one;
 * a sweep fanned out over in-process workers returns byte-identical
-  results to the single-host baseline;
+  results to the single-host baseline, repeated cells included;
 * an expired lease (hung worker) fails the chunk over to a healthy
-  worker and the sweep still matches the baseline;
-* a straggling chunk gets a deterministic hedge on a second worker and
-  the first result wins;
+  worker and the sweep still matches the baseline — the lease is the
+  only owner of a slow or hung worker;
 * zero registered workers degrade silently to the local resilient
   pool; registered-but-unhealthy workers degrade loudly.
 """
@@ -24,12 +23,7 @@ import json
 import pytest
 
 from repro.dispatch import wire
-from repro.dispatch.plane import (
-    DispatchPlane,
-    DispatchPolicy,
-    WorkerRegistry,
-    hedge_delay_s,
-)
+from repro.dispatch.plane import DispatchPlane, DispatchPolicy, WorkerRegistry
 from repro.dispatch.worker import WorkerConfig, WorkerThread
 from repro.engine.cells import cache_tpi_cell, queue_tpi_cell, tlb_tpi_cell
 from repro.engine.engine import ExperimentEngine
@@ -99,49 +93,9 @@ class TestDispatchPolicy:
         with pytest.raises(ServiceError):
             DispatchPolicy(heartbeat_interval_s=2.0, heartbeat_timeout_s=1.0)
 
-    def test_hedge_percentile_bounds(self):
-        with pytest.raises(ServiceError):
-            DispatchPolicy(hedge_percentile=0.0)
-        with pytest.raises(ServiceError):
-            DispatchPolicy(hedge_percentile=1.5)
-        DispatchPolicy(hedge_percentile=1.0)
-
-    def test_hedge_factor_must_amplify(self):
-        with pytest.raises(ServiceError):
-            DispatchPolicy(hedge_factor=0.5)
-
     def test_lease_must_be_positive(self):
         with pytest.raises(ServiceError):
             DispatchPolicy(lease_s=0.0)
-
-
-# ---------------------------------------------------------------------------
-# hedge delay: pure, deterministic
-# ---------------------------------------------------------------------------
-
-
-class TestHedgeDelay:
-    def test_nearest_rank_percentile_times_factor(self):
-        policy = DispatchPolicy(
-            hedge_percentile=0.95, hedge_factor=3.0, hedge_floor_s=0.0
-        )
-        walls = [float(i) for i in range(1, 11)]  # p95 of 1..10 -> 10
-        assert hedge_delay_s(walls, policy) == pytest.approx(30.0)
-
-    def test_median_of_a_small_sample(self):
-        policy = DispatchPolicy(
-            hedge_percentile=0.5, hedge_factor=2.0, hedge_floor_s=0.0
-        )
-        assert hedge_delay_s([0.1, 0.3, 0.2], policy) == pytest.approx(0.4)
-
-    def test_floor_applies_to_fast_chunks(self):
-        policy = DispatchPolicy(hedge_factor=1.0, hedge_floor_s=0.25)
-        assert hedge_delay_s([0.001, 0.002, 0.003], policy) == 0.25
-
-    def test_same_walls_same_delay(self):
-        policy = DispatchPolicy()
-        walls = [0.5, 0.1, 0.9, 0.2]
-        assert hedge_delay_s(walls, policy) == hedge_delay_s(list(walls), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +214,36 @@ class TestWorkerRegistry:
         clock.advance(10.1)
         assert [w.worker_id for w in registry.healthy()] == [state.worker_id]
 
+    def test_worker_breakers_leave_the_service_breaker_metrics_alone(self):
+        from repro.obs.trace import Tracer
+        from repro.service.breaker import BreakerPolicy, CircuitBreaker
+
+        def service_metrics():
+            registry = metrics()
+            transitions = registry.counter(
+                "repro_service_breaker_transitions_total"
+            )
+            return (
+                registry.gauge("repro_service_breaker_state").value(),
+                sum(transitions.collect().values()),
+            )
+
+        service = CircuitBreaker(BreakerPolicy(failure_threshold=1))
+        service.record_failure()  # the broker's breaker is open
+        before = service_metrics()
+        assert before[0] == 1.0
+        registry, _ = self._registry(worker_failure_threshold=1)
+        with Tracer() as tracer:
+            state = registry.register("http://127.0.0.1:9001")
+            state.breaker.record_failure()
+        assert state.breaker.state == "open"
+        assert service_metrics() == before
+        assert not [
+            r for r in tracer.records
+            if r["name"] == "service.breaker_transition"
+        ]
+        service.record_success()  # leave the process-wide gauge closed
+
     def test_leases_are_recorded_and_released(self):
         registry, _ = self._registry()
         state = registry.register("http://127.0.0.1:9001")
@@ -299,7 +283,6 @@ class TestRemoteEvaluation:
         policy = DispatchPolicy(
             heartbeat_timeout_s=NO_REAP,
             lease_s=0.5,
-            hedge_min_completed=1_000,  # isolate failover from hedging
         )
         plane = DispatchPlane(policy=policy)
         failovers = _counter("repro_dispatch_failovers_total")
@@ -316,33 +299,19 @@ class TestRemoteEvaluation:
         assert _counter("repro_dispatch_failovers_total") >= failovers + 1
         assert _counter("repro_dispatch_lease_expired_total") >= expiries + 1
 
-    def test_straggler_is_hedged_and_the_hedge_wins(self):
-        cells = _small_cells(4)
+    def test_repeated_cells_each_get_their_own_result(self):
+        # A chunk is identified by its position, not its content: two
+        # chunks holding the same cell are two deliveries.
+        a, b = _small_cells(2)
+        cells = [a, b, a]
         baseline = ExperimentEngine(jobs=1).map(cells)
-        plan = FaultPlan(
-            events=(FaultEvent("hang", chunk=3, attempt=0, hang_s=HANG_S),)
-        )
-        policy = DispatchPolicy(
-            heartbeat_timeout_s=NO_REAP,
-            lease_s=60.0,  # the lease never expires: hedging must rescue
-            hedge_min_completed=1,
-            hedge_factor=1.5,
-            hedge_floor_s=0.02,
-        )
-        plane = DispatchPlane(policy=policy)
-        hedges = _counter("repro_dispatch_hedges_total")
-        wins = _counter("repro_dispatch_hedge_wins_total")
-        with WorkerThread(WorkerConfig(slots=1)) as w1, \
-                WorkerThread(WorkerConfig(slots=1)) as w2:
-            plane.registry.register(w1.url, slots=1)
-            plane.registry.register(w2.url, slots=1)
-            engine = ExperimentEngine(
-                jobs=2, chunk_size=1, retry=FAST,
-                dispatcher=plane, fault_plan=plan,
-            )
+        plane = DispatchPlane(policy=DispatchPolicy(heartbeat_timeout_s=NO_REAP))
+        duplicates = _counter("repro_dispatch_duplicate_results_total")
+        with WorkerThread(WorkerConfig(slots=1)) as worker:
+            plane.registry.register(worker.url, slots=1)
+            engine = ExperimentEngine(jobs=2, chunk_size=1, dispatcher=plane)
             assert _canon(engine.map(cells)) == _canon(baseline)
-        assert _counter("repro_dispatch_hedges_total") == hedges + 1
-        assert _counter("repro_dispatch_hedge_wins_total") == wins + 1
+        assert _counter("repro_dispatch_duplicate_results_total") == duplicates
 
     def test_zero_workers_degrade_silently_to_the_local_pool(self):
         cells = _small_cells(3)

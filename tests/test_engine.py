@@ -458,8 +458,6 @@ def test_cache_model_sweep_hard_errors():
 
 
 def test_adaptive_structures_share_one_run_result_type():
-    import numpy as np
-
     from repro import (
         AdaptiveBranchPredictor,
         AdaptiveCacheHierarchy,

@@ -69,6 +69,24 @@ def test_cli_api_and_service_start_without_numpy():
     assert len([m for m in loaded if m.split(".")[0] == "repro"]) <= 30
 
 
+def test_a_remote_query_loads_no_engine_and_no_numpy():
+    from repro.engine.engine import ExperimentEngine
+    from repro.service.server import ServiceConfig, ServiceThread
+
+    code = (
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        "assert main(['query', 'tlb', 'compress', '--url', sys.argv[1]]) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    with ServiceThread(ExperimentEngine(), ServiceConfig(port=0)) as service:
+        out = fresh(code, service.url)
+    assert "best configuration" in out
+    loaded = json.loads(out.splitlines()[-1])
+    assert "numpy" not in loaded
+    assert "repro.engine.engine" not in loaded
+
+
 _CHECK_PUBLIC_NAMES = """
 import importlib, sys
 package = sys.argv[1]

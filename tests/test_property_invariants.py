@@ -231,7 +231,6 @@ class TestDistributedDeterminism:
 
         policy = DispatchPolicy(
             heartbeat_timeout_s=300.0,  # in-test workers do not beat
-            hedge_min_completed=1_000,  # isolate failover from hedging
         )
         plane = DispatchPlane(policy=policy)
         workers = [self._spawn_worker() for _ in range(2)]

@@ -23,7 +23,7 @@ import pytest
 
 from repro.api import OptimizationRequest, request_cell_key
 from repro.engine.engine import ExperimentEngine
-from repro.errors import ApiError, QuotaExceededError, ServiceError
+from repro.errors import QuotaExceededError, ServiceError
 from repro.obs.metrics import metrics
 from repro.obs.promtext import parse_prometheus
 from repro.resilience import FaultEvent, FaultPlan, RetryPolicy

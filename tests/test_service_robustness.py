@@ -381,9 +381,10 @@ class TestIdempotency:
 class _FailingNTimesEngine:
     """Duck-typed engine: the first ``n`` map calls raise, then delegate."""
 
-    def __init__(self, n):
+    def __init__(self, n, error=None):
         self._inner = ExperimentEngine()
         self.failures_left = n
+        self.error = error or TransientError("injected batch failure")
 
     @property
     def stats(self):
@@ -392,7 +393,7 @@ class _FailingNTimesEngine:
     def map(self, cells, deadline_s=None):
         if self.failures_left > 0:
             self.failures_left -= 1
-            raise TransientError("injected batch failure")
+            raise self.error
         return self._inner.map(cells, deadline_s=deadline_s)
 
 
@@ -417,6 +418,22 @@ class TestBreakerOverHttp:
             status = client.submit(tiny_request(workload="ijpeg"), wait=True)
             assert status.state.value == "done"
             assert broker.breaker.state == "closed"
+
+    def test_an_engine_side_shed_fails_the_batch_like_any_error(self):
+        # The broker re-runs nothing: an engine that sheds is a failing
+        # engine, and the broker's own breaker counts it.
+        config = ServiceConfig(
+            batch_window_s=0.0,
+            breaker=BreakerPolicy(failure_threshold=1, reset_timeout_s=60.0),
+        )
+        engine = _FailingNTimesEngine(
+            1, CircuitOpenError("engine shedding", retry_after_s=0.05)
+        )
+        with ServiceThread(engine, config) as thread:
+            status = ServiceClient(thread.url).submit(tiny_request(), wait=True)
+            assert status.state.value == "failed"
+            assert "CircuitOpenError" in (status.error or "")
+            assert thread.service.broker.breaker.state == "open"
 
     def test_warm_hits_are_served_while_open(self):
         config = ServiceConfig(
@@ -653,79 +670,6 @@ class TestChaosHarness:
         assert report.passed
         report.violations.append("x")
         assert not report.passed
-
-
-# ---------------------------------------------------------------------------
-# engine-side shedding: recovered jobs re-enter the queue, never die
-# ---------------------------------------------------------------------------
-
-
-class _ShedsOnceEngine:
-    """Duck engine: the first map call sheds like an open engine-side
-    breaker (e.g. the dispatch plane quarantined every worker), then
-    delegates to a real engine."""
-
-    def __init__(self):
-        self._inner = ExperimentEngine()
-        self.sheds_left = 1
-
-    @property
-    def stats(self):
-        return self._inner.stats
-
-    def map(self, cells, deadline_s=None):
-        if self.sheds_left > 0:
-            self.sheds_left -= 1
-            raise CircuitOpenError(
-                "worker plane is shedding", retry_after_s=0.05
-            )
-        return self._inner.map(cells, deadline_s=deadline_s)
-
-
-class TestShedRequeue:
-    def test_recovered_jobs_requeue_instead_of_failing(self, tmp_path):
-        # Regression: recover() dispatches journal-resurrected jobs
-        # without walking the warm/single-flight ladder, so a breaker
-        # shed at startup used to fail them outright.  A shed means
-        # "not now", not "never" — the batch must re-enter the queue.
-        from repro.obs.metrics import metrics
-
-        journal_path = tmp_path / "jobs.jsonl"
-        journal = JobJournal(journal_path)
-        journal.record_admit("job-shed-0", "acme", "k0", tiny_request())
-        journal.record_admit(
-            "job-shed-1", "acme", "k1", tiny_request(workload="li")
-        )
-        requeues = metrics().counter("repro_service_batch_requeues_total")
-        before = requeues.value()
-        config = ServiceConfig(journal_path=journal_path, batch_window_s=0.0)
-        with ServiceThread(_ShedsOnceEngine(), config) as thread:
-            client = ServiceClient(thread.url)
-            for i in range(2):
-                status = client.wait(f"job-shed-{i}", timeout_s=60.0)
-                assert status.state.value == "done"
-            # The shed charged nothing to the broker's own breaker.
-            assert thread.service.broker.breaker.state == "closed"
-        assert requeues.value() >= before + 1
-
-    def test_jobs_shed_past_the_budget_fail_with_the_cause(self, tmp_path):
-        # A plane that never heals must not requeue forever.
-        journal_path = tmp_path / "jobs.jsonl"
-        journal = JobJournal(journal_path)
-        journal.record_admit("job-doomed", "acme", "k0", tiny_request())
-        engine = _ShedsOnceEngine()
-        engine.sheds_left = 10_000  # effectively: sheds forever
-        config = ServiceConfig(journal_path=journal_path, batch_window_s=0.0)
-        with ServiceThread(engine, config) as thread:
-            client = ServiceClient(thread.url)
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                status = client.job("job-doomed")
-                if status.state.value in ("done", "failed"):
-                    break
-                time.sleep(0.1)
-            assert status.state.value == "failed"
-            assert "shed" in (status.error or "")
 
 
 # ---------------------------------------------------------------------------
