@@ -17,6 +17,8 @@ Asserts:
   (``repro_dispatch_failovers_total`` >= 1 on ``/metrics``),
 * SIGTERM drains the server to a clean exit 0.
 
+The scratch directory is removed after a pass and kept on a failure.
+
 Usage: ``PYTHONPATH=src python scripts/distributed_smoke.py``
 """
 
@@ -26,6 +28,7 @@ import json
 import os
 import re
 import selectors
+import shutil
 import signal
 import subprocess
 import sys
@@ -37,8 +40,7 @@ from pathlib import Path
 DEADLINE_S = 240.0
 READY_PATTERN = re.compile(r"serving on (http://[\w.\-]+:\d+)")
 
-#: Requests per tenant: enough that the load outlasts the kill and more
-#: leases are offered to the dead worker before it is excluded.
+#: Requests per tenant: enough that the load outlasts the kill.
 REQUESTS_PER_TENANT = 40
 
 
@@ -144,8 +146,7 @@ def main() -> None:
     )
     procs.append(loadtest)
 
-    # SIGKILL the victim once it provably holds a lease: that lease, and
-    # any offered to the dead worker before its breaker opens, fail
+    # SIGKILL the victim once it provably holds a lease: that lease fails
     # over, and the SLO verdict below is the proof the clients never
     # noticed.
     while True:
@@ -197,6 +198,7 @@ def main() -> None:
         if worker.poll() is None:
             worker.terminate()
             worker.wait(timeout=10)
+    shutil.rmtree(tmp, ignore_errors=True)
     print("distributed smoke PASSED")
 
 

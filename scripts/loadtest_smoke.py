@@ -12,6 +12,8 @@ fixed-seed ``repro loadtest`` against it, and asserts:
   evaluation, with >= 95% of its wall time attributed by
   ``repro obs critical-path``.
 
+The scratch directory is removed after a pass and kept on a failure.
+
 Usage: ``PYTHONPATH=src python scripts/loadtest_smoke.py``
 """
 
@@ -21,6 +23,7 @@ import json
 import os
 import re
 import selectors
+import shutil
 import signal
 import subprocess
 import sys
@@ -146,6 +149,7 @@ def main() -> None:
         f"trace ok: {len(records)} records validated, probe tree complete, "
         f"{report.coverage:.1%} of {report.total_s * 1e3:.1f} ms attributed"
     )
+    shutil.rmtree(tmp, ignore_errors=True)
     print("loadtest smoke PASSED")
 
 

@@ -668,7 +668,7 @@ def _query(args, engine: ExperimentEngine | None) -> int:
         result = _run_observed(
             args, "query", ask, structure=args.structure, workload=args.workload
         )
-    except (ReproError, OSError) as exc:  # OSError: the service is unreachable
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     request = result.request

@@ -11,9 +11,10 @@ The engine's chunked cell batches normally fan out over a local
   breakers), time-bounded **leases** over chunks, failover re-enqueue
   when a lease dies, and the :class:`RemoteExecutor` the engine drives
   through the same seam as :class:`~repro.resilience.ResilientExecutor`;
-* :mod:`repro.dispatch.worker` — the ``repro worker`` process: a
-  stdlib asyncio HTTP server evaluating leased chunks, registering
-  with a broker and heartbeating while it computes.
+* :mod:`repro.dispatch.worker` — the ``repro worker`` process: routes
+  on the service's HTTP stack (:mod:`repro.service.http`) evaluating
+  leased chunks, registering with a broker and heartbeating while it
+  computes.
 
 The lease is the one owner of a slow, hung or dead worker: a chunk
 holds at most one lease, and an expired lease or a lost connection

@@ -17,10 +17,11 @@ processes.  Three pieces cooperate:
     behind the engine's executor seam.  Chunks are assigned to workers
     under **time-bounded leases** (the lease deadline doubles as the
     HTTP timeout); a dead connection, an expired lease, or a reaped
-    worker re-enqueues the chunk onto the next healthy worker, and past
-    ``max_lease_failovers`` onto the local pool.  A chunk holds at most
-    one lease at a time, so each chunk reaches the engine exactly once;
-    a slow but live worker keeps its chunk until the lease expires.
+    worker re-enqueues the chunk onto the next healthy worker (and
+    drops a refused or disconnected worker from the roster), and after
+    three failovers onto the local pool.  A chunk holds at most one
+    lease at a time, so each chunk reaches the engine exactly once; a
+    slow but live worker keeps its chunk until the lease expires.
 
 :class:`DispatchPlane`
     The factory the engine holds.  ``executor(...)`` returns a
@@ -40,10 +41,9 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from http.client import HTTPConnection, HTTPException
+from http.client import HTTPException
 from pathlib import Path
 from typing import Callable, Sequence
-from urllib.parse import urlsplit
 
 from repro.dispatch.wire import decode_pairs, evaluate_request
 from repro.engine.cells import SweepCell
@@ -67,8 +67,16 @@ from repro.resilience.executor import (
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RetryPolicy
 from repro.service.breaker import BreakerPolicy, CircuitBreaker
+from repro.service.http import request_json
 
 _LOG = logging.getLogger("repro.dispatch.plane")
+
+#: Lost leases tolerated per chunk before it stops being offered to
+#: workers and falls back to local evaluation.
+_MAX_LEASE_FAILOVERS: int = 3
+
+#: Scheduler wait quantum while leases are outstanding.
+_POLL_INTERVAL_S: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -86,24 +94,17 @@ class DispatchPolicy:
         registration).
     heartbeat_timeout_s:
         Silence after which a worker is declared dead and reaped.
-    max_lease_failovers:
-        Lost leases tolerated per chunk before it stops being offered
-        to workers and falls back to local evaluation.
     worker_failure_threshold, worker_breaker_reset_s:
         Per-worker circuit breaker: consecutive transport failures
         before the worker is quarantined, and the cooldown before a
         probe.
-    poll_interval_s:
-        Scheduler wait quantum while leases are outstanding.
     """
 
     lease_s: float = 30.0
     heartbeat_interval_s: float = 1.0
     heartbeat_timeout_s: float = 5.0
-    max_lease_failovers: int = 3
     worker_failure_threshold: int = 2
     worker_breaker_reset_s: float = 5.0
-    poll_interval_s: float = 0.02
 
     def __post_init__(self) -> None:
         if self.lease_s <= 0:
@@ -117,14 +118,6 @@ class DispatchPolicy:
             raise ServiceError(
                 "heartbeat_timeout_s must exceed heartbeat_interval_s "
                 f"({self.heartbeat_timeout_s} <= {self.heartbeat_interval_s})"
-            )
-        if self.max_lease_failovers < 0:
-            raise ServiceError(
-                f"max_lease_failovers must be >= 0, got {self.max_lease_failovers}"
-            )
-        if self.poll_interval_s <= 0:
-            raise ServiceError(
-                f"poll_interval_s must be > 0, got {self.poll_interval_s}"
             )
 
 
@@ -322,32 +315,6 @@ class WorkerRegistry:
         ).set(float(alive))
 
 
-def _post_json(
-    base_url: str, path: str, document: dict, timeout_s: float
-) -> tuple[int, dict]:
-    """One JSON POST to a worker; raises ``OSError`` family on transport."""
-    parts = urlsplit(base_url)
-    if parts.hostname is None:
-        raise ServiceError(f"malformed worker url {base_url!r}")
-    conn = HTTPConnection(parts.hostname, parts.port, timeout=timeout_s)
-    try:
-        body = json.dumps(document).encode("utf-8")
-        conn.request(
-            "POST",
-            path,
-            body=body,
-            headers={
-                "Content-Type": "application/json",
-                "Content-Length": str(len(body)),
-            },
-        )
-        response = conn.getresponse()
-        raw = response.read()
-        return response.status, (json.loads(raw) if raw else {})
-    finally:
-        conn.close()
-
-
 @dataclass
 class _Lease:
     """One outstanding evaluate call."""
@@ -428,11 +395,11 @@ class RemoteExecutor:
                 if not inflight:
                     if not self.plane.registry.healthy():
                         break  # nobody left to lease to: go local below
-                    self._sleep(self.plane.policy.poll_interval_s)
+                    self._sleep(_POLL_INTERVAL_S)
                     continue
                 done, _ = wait(
                     set(inflight),
-                    timeout=self.plane.policy.poll_interval_s,
+                    timeout=_POLL_INTERVAL_S,
                     return_when=FIRST_COMPLETED,
                 )
                 for fut in done:
@@ -485,8 +452,9 @@ class RemoteExecutor:
             plan=self.fault_plan, trace=self.trace_ctx,
         )
         try:
-            status, doc = _post_json(
-                lease.url, "/v1/evaluate", body, timeout_s=self._lease_timeout_s
+            status, _, doc = request_json(
+                lease.url, "POST", "/v1/evaluate", body,
+                timeout_s=self._lease_timeout_s,
             )
         except TimeoutError as exc:
             err = WorkerLostError(
@@ -533,11 +501,17 @@ class RemoteExecutor:
                 worker.breaker.record_failure()
             if getattr(exc, "lease_expired", False):
                 self._note_lease_expired(lease)
+            elif isinstance(exc.__cause__, ConnectionError):
+                # Refused, reset or dropped: the host is dead or
+                # restarting.  Drop it now, as the reaper would after the
+                # heartbeat timeout, so the chunk is not offered back to
+                # it; a live worker re-registers on its next heartbeat.
+                self.plane.registry.deregister(lease.worker_id)
             attempts[chunk] += 1  # advance the fault schedule, like _reap_after_death
             lease_failures[chunk] += 1
             self.report.lost_chunks += 1
             self._note_failover(lease, attempts[chunk], exc)
-            if lease_failures[chunk] <= self.plane.policy.max_lease_failovers:
+            if lease_failures[chunk] <= _MAX_LEASE_FAILOVERS:
                 ready_at[chunk] = self._clock()
                 pending.append(chunk)
             # else: left unscheduled; the local fallback sweeps it up.

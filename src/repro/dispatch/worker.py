@@ -1,8 +1,7 @@
 """The ``repro worker`` process: one host of the dispatch plane.
 
-A deliberately small stdlib HTTP server in the same idiom as the sweep
-service (``asyncio.start_server``, JSON in/out, connection-per-request)
-with two routes:
+A :class:`~repro.service.http.Listener` (the stdlib stack the sweep
+service uses, JSON in/out, connection-per-request) with two routes:
 
 * ``POST /v1/evaluate`` — evaluate one leased chunk of sweep cells.
   The body carries the cells, the (chunk, attempt) coordinates, the
@@ -11,9 +10,13 @@ with two routes:
   process down, exactly like a pool worker dying), and the caller's
   trace context.  Spans recorded during evaluation (a ``worker.evaluate``
   root wrapping the usual ``engine.worker`` / ``cell.evaluate`` tree)
-  are captured in a worker-side shard and returned in the response, so
-  the broker can stitch one cross-host trace.
+  are captured in a shard in a temporary directory, removed once they
+  are read, and returned in the response, so the broker can stitch one
+  cross-host trace.
 * ``GET /healthz`` — liveness.
+
+A request the shared reader rejects answers ``400``/``413``; a handler
+bug answers ``500`` with ``"transient": false``.
 
 Evaluation runs on a thread pool sized to ``--slots``, so health checks
 and concurrent leases are served while a chunk computes.  When started
@@ -31,20 +34,26 @@ import asyncio
 import json
 import logging
 import os
-import signal
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.dispatch.plane import _post_json
 from repro.dispatch.wire import decode_cells, decode_plan, decode_trace
 from repro.errors import ReproError, ServiceError, TransientError
 from repro.obs.stitch import SHARD_SUFFIX, read_shard, shard_tracer
 from repro.obs.trace import span
 from repro.resilience.faults import evaluate_chunk_with_faults
+from repro.service.http import (
+    Listener,
+    ListenerThread,
+    Response,
+    json_response,
+    read_request,
+    request_json,
+    run_listener,
+)
 
 _LOG = logging.getLogger("repro.dispatch.worker")
 
@@ -55,6 +64,9 @@ MAX_BODY_BYTES: int = 8 << 20
 #: Registration retries while the broker is still booting.
 _REGISTER_ATTEMPTS: int = 40
 _REGISTER_BACKOFF_S: float = 0.25
+
+#: Heartbeat cadence if the broker's register reply names none.
+_HEARTBEAT_INTERVAL_S: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -69,117 +81,60 @@ class WorkerConfig:
     #: Broker base URL to register with; ``None`` serves unregistered
     #: (tests register the worker into a registry by hand).
     broker_url: str | None = None
-    #: Fallback heartbeat cadence if the broker does not dictate one.
-    heartbeat_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.slots < 1:
             raise ServiceError(f"slots must be >= 1, got {self.slots}")
-        if self.heartbeat_interval_s <= 0:
-            raise ServiceError(
-                "heartbeat_interval_s must be > 0, "
-                f"got {self.heartbeat_interval_s}"
-            )
 
 
-class WorkerServer:
+class WorkerServer(Listener):
     """One worker listener bound to a running event loop."""
 
     def __init__(self, config: WorkerConfig) -> None:
+        super().__init__(config.host, config.port)
         self.config = config
         self.worker_id: str | None = None  # assigned by the broker
-        self._server: asyncio.base_events.Server | None = None
-        self._shard_dir = tempfile.mkdtemp(prefix="repro-worker-spans-")
 
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` to the real one)."""
-        if self._server is None:
-            raise ServiceError("worker is not started")
-        return self._server.sockets[0].getsockname()[1]
+    async def serve(self) -> None:
+        """Register, heartbeat until halted, then deregister."""
+        if self.config.broker_url is None:
+            await super().serve()
+            return
+        loop = asyncio.get_running_loop()
+        interval_s = await loop.run_in_executor(None, _register, self)
+        try:
+            while not self._halted.is_set():
+                try:
+                    await asyncio.wait_for(self._halted.wait(), timeout=interval_s)
+                except asyncio.TimeoutError:
+                    await loop.run_in_executor(None, _heartbeat_once, self)
+        finally:
+            await loop.run_in_executor(None, _deregister, self)
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+    def failure(self, exc: Exception) -> Response:
+        return json_response(
+            500, {"error": f"{type(exc).__name__}: {exc}", "transient": False}
         )
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    # -- connection handling ----------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            status, headers, body = await self._handle_one(reader)
-        except asyncio.CancelledError:
-            # Shutdown tore the connection down mid-request (e.g. an
-            # evaluate still hung under an injected fault).  Returning
-            # quietly keeps the stream protocol's done-callback from
-            # logging a spurious traceback; the peer sees a reset.
-            writer.close()
-            return
-        except Exception as exc:  # noqa: BLE001 - transport boundary: a
-            # handler bug must answer 500, not kill the connection task.
-            status, headers, body = _json_response(
-                500, {"error": f"{type(exc).__name__}: {exc}", "transient": False}
-            )
-        try:
-            writer.write(_render(status, headers, body))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-
-    async def _handle_one(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[int, dict, bytes]:
-        request_line = await reader.readline()
-        parts = request_line.decode("latin-1").split()
-        if len(parts) != 3:
-            return _json_response(400, {"error": "malformed request line"})
-        method, target, _version = parts
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return _json_response(
-                        400, {"error": "malformed Content-Length"}
-                    )
-        if content_length > MAX_BODY_BYTES:
-            return _json_response(
-                413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
-            )
-        body = await reader.readexactly(content_length) if content_length else b""
-        if target == "/healthz" and method == "GET":
-            return _json_response(
+    async def respond(self, reader: asyncio.StreamReader) -> Response:
+        request = await read_request(reader, MAX_BODY_BYTES)
+        if request.error is not None:
+            return request.error
+        method, path = request.method, request.path
+        if path == "/healthz" and method == "GET":
+            return json_response(
                 200,
                 {"ok": True, "worker_id": self.worker_id, "slots": self.config.slots},
             )
-        if target == "/v1/evaluate" and method == "POST":
-            return await self._evaluate(body)
-        return _json_response(404, {"error": f"no route for {method} {target}"})
+        if path == "/v1/evaluate" and method == "POST":
+            return await self._evaluate(request.body)
+        return json_response(404, {"error": f"no route for {method} {path}"})
 
-    async def _evaluate(self, body: bytes) -> tuple[int, dict, bytes]:
+    async def _evaluate(self, body: bytes) -> Response:
         try:
             document = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return _json_response(
+            return json_response(
                 400, {"error": f"body is not JSON: {exc}", "transient": False}
             )
         loop = asyncio.get_running_loop()
@@ -191,14 +146,14 @@ class WorkerServer:
                 None, self._evaluate_sync, document
             )
         except ReproError as exc:
-            return _json_response(
+            return json_response(
                 500,
                 {
                     "error": f"{type(exc).__name__}: {exc}",
                     "transient": isinstance(exc, TransientError),
                 },
             )
-        return _json_response(200, result)
+        return json_response(200, result)
 
     def _evaluate_sync(self, document: dict) -> dict:
         if not isinstance(document, dict):
@@ -211,24 +166,22 @@ class WorkerServer:
         started = time.perf_counter()
         spans: list[dict] = []
         if trace is not None:
-            shard = Path(self._shard_dir) / (
-                f"chunk-{chunk:04d}-attempt-{attempt}-pid{os.getpid()}"
-                f"-{started:.6f}{SHARD_SUFFIX}"
-            )
-            tracer = shard_tracer(trace, shard)
-            with tracer:
-                with span(
-                    "worker.evaluate",
-                    level="engine",
-                    worker_id=self.worker_id,
-                    chunk=chunk,
-                    attempt=attempt,
-                    pid=os.getpid(),
-                    n_cells=len(cells),
-                ):
-                    pairs = evaluate_chunk_with_faults(cells, plan, chunk, attempt)
-            spans = read_shard(shard)
-            shard.unlink(missing_ok=True)
+            with tempfile.TemporaryDirectory(prefix="repro-worker-spans-") as tmp:
+                shard = Path(tmp) / f"chunk-{chunk:04d}-attempt-{attempt}{SHARD_SUFFIX}"
+                with shard_tracer(trace, shard):
+                    with span(
+                        "worker.evaluate",
+                        level="engine",
+                        worker_id=self.worker_id,
+                        chunk=chunk,
+                        attempt=attempt,
+                        pid=os.getpid(),
+                        n_cells=len(cells),
+                    ):
+                        pairs = evaluate_chunk_with_faults(
+                            cells, plan, chunk, attempt
+                        )
+                spans = read_shard(shard)
         else:
             pairs = evaluate_chunk_with_faults(cells, plan, chunk, attempt)
         return {
@@ -239,31 +192,17 @@ class WorkerServer:
         }
 
 
-def _json_response(status: int, document: dict) -> tuple[int, dict, bytes]:
-    return (
-        status,
-        {"Content-Type": "application/json"},
-        json.dumps(document, sort_keys=True).encode("utf-8"),
-    )
-
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-}
-
-
-def _render(status: int, headers: dict, body: bytes) -> bytes:
-    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"]
-    headers = {**headers, "Content-Length": str(len(body)), "Connection": "close"}
-    lines.extend(f"{name}: {value}" for name, value in headers.items())
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
 # -- broker liaison ---------------------------------------------------------
+
+
+def _to_broker(server: WorkerServer, action: str, document: dict) -> tuple[int, dict]:
+    """POST ``document`` to the broker's ``/v1/workers/{action}``."""
+    assert server.config.broker_url is not None
+    status, _, doc = request_json(
+        server.config.broker_url, "POST", f"/v1/workers/{action}", document,
+        timeout_s=5.0,
+    )
+    return status, doc
 
 
 def _register(server: WorkerServer) -> float:
@@ -275,15 +214,11 @@ def _register(server: WorkerServer) -> float:
     of idling unregistered.
     """
     config = server.config
-    assert config.broker_url is not None
     last_error: Exception | None = None
     for _ in range(_REGISTER_ATTEMPTS):
         try:
-            status, doc = _post_json(
-                config.broker_url,
-                "/v1/workers/register",
-                {"url": server.url, "slots": config.slots},
-                timeout_s=5.0,
+            status, doc = _to_broker(
+                server, "register", {"url": server.url, "slots": config.slots}
             )
         except (OSError, ValueError) as exc:
             last_error = exc
@@ -292,7 +227,7 @@ def _register(server: WorkerServer) -> float:
         if status == 200 and isinstance(doc.get("worker_id"), str):
             server.worker_id = doc["worker_id"]
             interval_s = float(
-                doc.get("heartbeat_interval_s") or config.heartbeat_interval_s
+                doc.get("heartbeat_interval_s") or _HEARTBEAT_INTERVAL_S
             )
             _LOG.info(
                 "registered with %s as %s (heartbeat every %.3gs)",
@@ -308,17 +243,12 @@ def _register(server: WorkerServer) -> float:
 
 def _heartbeat_once(server: WorkerServer) -> None:
     """One heartbeat; re-registers if the broker forgot us (restart)."""
-    config = server.config
-    assert config.broker_url is not None
     try:
-        status, doc = _post_json(
-            config.broker_url,
-            "/v1/workers/heartbeat",
-            {"worker_id": server.worker_id},
-            timeout_s=5.0,
+        status, doc = _to_broker(
+            server, "heartbeat", {"worker_id": server.worker_id}
         )
     except (OSError, ValueError) as exc:
-        _LOG.warning("heartbeat to %s failed: %s", config.broker_url, exc)
+        _LOG.warning("heartbeat to %s failed: %s", server.config.broker_url, exc)
         return
     if status != 200 or not doc.get("ok"):
         _LOG.warning(
@@ -331,16 +261,10 @@ def _heartbeat_once(server: WorkerServer) -> None:
 
 
 def _deregister(server: WorkerServer) -> None:
-    config = server.config
-    if config.broker_url is None or server.worker_id is None:
+    if server.worker_id is None:
         return
     try:
-        _post_json(
-            config.broker_url,
-            "/v1/workers/deregister",
-            {"worker_id": server.worker_id},
-            timeout_s=5.0,
-        )
+        _to_broker(server, "deregister", {"worker_id": server.worker_id})
     except (OSError, ValueError):
         pass  # the broker will reap us by heartbeat timeout instead
 
@@ -359,130 +283,26 @@ def run_worker(
     is bound (the CLI prints the URL; smoke tests parse it).  SIGTERM
     and SIGINT deregister from the broker and exit 0.
     """
-
-    async def _main() -> None:
-        server = WorkerServer(config)
-        await server.start()
-        if on_ready is not None:
-            on_ready(server)
-        interval_s = config.heartbeat_interval_s
-        loop = asyncio.get_running_loop()
-        if config.broker_url is not None:
-            interval_s = await loop.run_in_executor(None, _register, server)
-        stop = asyncio.Event()
-        installed: list[signal.Signals] = []
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError):
-                pass  # platform without loop signal handlers
-        try:
-            while not stop.is_set():
-                try:
-                    await asyncio.wait_for(stop.wait(), timeout=interval_s)
-                except asyncio.TimeoutError:
-                    if config.broker_url is not None:
-                        await loop.run_in_executor(None, _heartbeat_once, server)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
-            await loop.run_in_executor(None, _deregister, server)
-            await server.stop()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
+    run_listener(lambda: WorkerServer(config), on_ready)
 
 
-class WorkerThread:
+class WorkerThread(ListenerThread):
     """A dispatch worker hosted on a daemon thread (tests, embedding).
 
     >>> with WorkerThread() as worker:
     ...     registry.register(worker.url)
 
-    No broker registration happens here — in-process tests register the
-    worker's URL into a :class:`~repro.dispatch.plane.WorkerRegistry`
-    directly.
+    It runs the same host as ``repro worker``; with no ``broker_url``
+    (the default) it registers nowhere, and in-process tests register
+    its URL into a :class:`~repro.dispatch.plane.WorkerRegistry`.
     """
 
-    def __init__(
-        self,
-        config: WorkerConfig | None = None,
-        startup_timeout_s: float = 10.0,
-    ) -> None:
+    def __init__(self, config: WorkerConfig | None = None) -> None:
         self.config = config if config is not None else WorkerConfig()
-        self._startup_timeout_s = startup_timeout_s
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: WorkerServer | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
+        super().__init__(
+            lambda: WorkerServer(self.config), "repro-dispatch-worker"
+        )
 
     @property
     def server(self) -> WorkerServer:
-        if self._server is None:
-            raise ServiceError("worker thread is not running")
-        return self._server
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
-
-    def start(self) -> "WorkerThread":
-        if self._thread is not None:
-            raise ServiceError("worker thread already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-dispatch-worker", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(self._startup_timeout_s):
-            raise ServiceError("worker thread did not become ready in time")
-        if self._startup_error is not None:
-            raise ServiceError(
-                f"worker failed to start: {self._startup_error}"
-            ) from self._startup_error
-        return self
-
-    def stop(self) -> None:
-        if self._loop is None or self._thread is None:
-            return
-        self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(timeout=10.0)
-        self._thread = None
-        self._loop = None
-        self._server = None
-
-    def _run(self) -> None:
-        asyncio.run(self._serve())
-
-    async def _serve(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        server = WorkerServer(self.config)
-        try:
-            await server.start()
-        except BaseException as exc:  # noqa: BLE001 - startup failures
-            # must surface on the caller's thread, not die silently here.
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._server = server
-        self._ready.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await server.stop()
-
-    def __enter__(self) -> "WorkerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+        return self.listener

@@ -15,7 +15,10 @@ experiment engine.  The layers, transport-independent first:
   while the engine fails batches back to back;
 * :mod:`repro.service.broker` — single-flight dedup and batching of
   compatible requests into one ``engine.map`` fan-out;
-* :mod:`repro.service.server` — the HTTP/1.1 face
+* :mod:`repro.service.http` — the one stdlib HTTP/1.1 stack (request
+  reader, listener, process and thread hosts, JSON client) shared with
+  the dispatch worker;
+* :mod:`repro.service.server` — the service's routes
   (``POST /v1/optimize``, ``GET /v1/jobs/{id}``, ``GET /metrics``,
   ``GET /healthz``) plus hosting helpers;
 * :mod:`repro.service.client` — a typed stdlib client;

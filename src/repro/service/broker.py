@@ -77,6 +77,9 @@ from repro.service.warmcache import WarmResultStore
 
 _LOG = logging.getLogger("repro.service.broker")
 
+#: Most distinct cells evaluated per engine ``map`` call.
+MAX_BATCH: int = 64
+
 
 def _note_journal_error(future: "asyncio.Future[Any]") -> None:
     """Surface a failed fire-and-forget journal append in the log.
@@ -110,8 +113,6 @@ class SweepBroker:
     #: How long a freshly queued cell waits for companions before the
     #: batch is flushed to the engine.
     batch_window_s: float = 0.02
-    #: Most distinct cells evaluated per engine ``map`` call.
-    max_batch: int = 64
     jobs_retain: int = 1024
     #: Hard cap on the job table; past it admission answers 429.
     max_jobs: int = 4096
@@ -126,8 +127,6 @@ class SweepBroker:
             raise ServiceError(
                 f"batch_window_s must be >= 0, got {self.batch_window_s}"
             )
-        if self.max_batch < 1:
-            raise ServiceError(f"max_batch must be >= 1, got {self.max_batch}")
         self.quotas = TenantQuotas(policy=self.quota_policy)
         # A table capped below the retain target can never hold that
         # many terminal jobs anyway; clamp so a small --max-jobs works
@@ -428,7 +427,7 @@ class SweepBroker:
                 continue
             if self.batch_window_s > 0 and not self._closed:
                 await asyncio.sleep(self.batch_window_s)
-            batch = self._pending[: self.max_batch]
+            batch = self._pending[:MAX_BATCH]
             del self._pending[: len(batch)]
             await self._run_batch(batch)
 

@@ -32,8 +32,9 @@ Boot a ``--workers`` service, register two workers, submit a batch
 whose first chunk hangs under an injected fault (pinning that lease on
 the first worker), and SIGKILL the leaseholder mid-batch.  Invariants:
 every job still completes; the sweep results are byte-identical to a
-single-host baseline of the same requests; at least one failover was
-recorded; no chunk was delivered twice.
+single-host baseline of the same requests; exactly one failover was
+recorded (the dead worker leaves the roster with its lost lease, so the
+chunk is never offered back to it); no chunk was delivered twice.
 
 The harness exits non-zero on the first violated invariant, which is
 what CI's ``chaos-smoke`` job gates on.
@@ -595,9 +596,10 @@ def _run_worker_phase(report: ChaosReport, n_jobs: int = 4) -> None:
             "worker: sweep results after the mid-batch SIGKILL differ "
             "from the single-host baseline"
         )
-    if report.worker_failovers < 1:
+    if report.worker_failovers != 1:
         report.violations.append(
-            "worker: SIGKILLing a leaseholder recorded no failover"
+            "worker: SIGKILLing a leaseholder recorded "
+            f"{report.worker_failovers:.0f} failover(s), expected exactly 1"
         )
     if report.worker_duplicates:
         report.violations.append(
@@ -612,12 +614,13 @@ def _run_worker_phase(report: ChaosReport, n_jobs: int = 4) -> None:
 
 
 def run_chaos(seed: int = 0, workdir: str | Path | None = None) -> ChaosReport:
-    """Run the full three-phase drill; see the module docstring.
+    """Run the full four-phase drill; see the module docstring.
 
     ``workdir`` holds the journals, cache and scratch files; a
-    temporary directory is used (and kept for post-mortems on failure)
-    when not given.
+    temporary directory is used when not given, removed after a pass
+    and kept for post-mortems on failure.
     """
+    import shutil
     import tempfile
 
     report = ChaosReport(seed=seed)
@@ -643,4 +646,6 @@ def run_chaos(seed: int = 0, workdir: str | Path | None = None) -> ChaosReport:
         _run_worker_phase(report)
     except ReproError as exc:
         report.violations.append(f"worker phase aborted: {exc}")
+    if workdir is None and report.passed:
+        shutil.rmtree(base, ignore_errors=True)
     return report

@@ -1,9 +1,12 @@
 """A small stdlib client for the sweep service (``repro query --url``).
 
-Wraps ``http.client`` so callers — the CLI, tests, the CI smoke script
-— speak the service's JSON protocol through typed
-:mod:`repro.api` objects instead of hand-rolled dicts.  Backpressure
-surfaces as typed errors carrying the server's ``Retry-After``:
+Sends every request through :func:`repro.service.http.request_json` so
+callers — the CLI, tests, the CI smoke script — speak the service's
+JSON protocol through typed :mod:`repro.api` objects instead of
+hand-rolled dicts.  An unreachable service (refused, reset or timed-out
+connection) raises :class:`~repro.errors.ServiceError` naming the URL.
+Backpressure surfaces as typed errors carrying the server's
+``Retry-After``:
 :class:`~repro.errors.QuotaExceededError` for ``429`` (per-tenant
 quota or a full job table) and :class:`~repro.errors.CircuitOpenError`
 for ``503`` + ``Retry-After`` (the breaker shedding load), so a polite
@@ -20,9 +23,9 @@ determinism conventions.
 
 from __future__ import annotations
 
-import http.client
-import json
 import time
+from http.client import HTTPException
+from typing import Any
 from urllib.parse import urlsplit
 
 from repro.api.types import JobStatus, OptimizationRequest, OptimizationResult
@@ -35,13 +38,7 @@ from repro.errors import (
 )
 from repro.obs.trace import new_trace_id
 from repro.resilience.policy import RetryPolicy
-
-#: The distributed-trace header (mirrors the server-side constant; the
-#: client avoids importing the server module).
-TRACE_HEADER: str = "X-Repro-Trace"
-
-#: Idempotency header (mirrors the server-side constant).
-IDEMPOTENCY_HEADER: str = "Idempotency-Key"
+from repro.service.http import IDEMPOTENCY_HEADER, TRACE_HEADER, request_json
 
 #: Default policy shaping :meth:`ServiceClient.wait` poll intervals:
 #: 50ms growing 1.5x per poll, capped at 1s, with deterministic jitter.
@@ -74,8 +71,7 @@ class ServiceClient:
             raise ServiceError(
                 f"service URL must look like http://host:port, got {url!r}"
             )
-        self.host = split.hostname
-        self.port = split.port if split.port is not None else 80
+        self.url = url
         self.timeout_s = timeout_s
         self.trace_id = trace_id
         self.poll_policy = (
@@ -92,31 +88,23 @@ class ServiceClient:
         path: str,
         body: dict | None = None,
         extra_headers: dict | None = None,
-    ) -> tuple[int, dict, dict]:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
+    ) -> tuple[int, dict, Any]:
+        trace_id = self.trace_id if self.trace_id is not None else new_trace_id()
+        headers = {TRACE_HEADER: trace_id, **(extra_headers or {})}
         try:
-            payload = (
-                json.dumps(body).encode("utf-8") if body is not None else None
+            status, response_headers, document = request_json(
+                self.url, method, path, body,
+                headers=headers, timeout_s=self.timeout_s,
             )
-            headers = {"Content-Type": "application/json"} if body else {}
-            headers[TRACE_HEADER] = (
-                self.trace_id if self.trace_id is not None else new_trace_id()
-            )
-            if extra_headers:
-                headers.update(extra_headers)
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            document = json.loads(raw.decode("utf-8")) if raw else {}
-            response_headers = dict(response.getheaders())
-            echoed = response_headers.get(TRACE_HEADER)
-            if echoed:
-                self.last_trace_id = echoed
-            return response.status, response_headers, document
-        finally:
-            conn.close()
+        except (OSError, HTTPException) as exc:
+            raise ServiceError(
+                f"no answer from the service at {self.url}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        echoed = response_headers.get(TRACE_HEADER)
+        if echoed:
+            self.last_trace_id = echoed
+        return status, response_headers, document
 
     def _raise_for(self, status: int, headers: dict, document: dict) -> None:
         error = document.get("error", f"HTTP {status}")
@@ -144,17 +132,10 @@ class ServiceClient:
         return status == 200 and bool(document.get("ok"))
 
     def metrics_text(self) -> str:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
-        try:
-            conn.request("GET", "/metrics")
-            response = conn.getresponse()
-            if response.status != 200:
-                raise ServiceError(f"HTTP {response.status} from /metrics")
-            return response.read().decode("utf-8")
-        finally:
-            conn.close()
+        status, _, text = self._request("GET", "/metrics")
+        if status != 200:
+            raise ServiceError(f"HTTP {status} from /metrics")
+        return text
 
     def submit(
         self,

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.api.types import JobState, OptimizationRequest
-from repro.errors import QuotaExceededError, ReproError
+from repro.errors import QuotaExceededError, ReproError, ServiceError
 from repro.obs.trace import new_trace_id
 from repro.service.client import ServiceClient
 
@@ -365,8 +365,14 @@ def run_loadtest(
     timeout_s: float = 120.0,
     probe: bool = True,
 ) -> LoadReport:
-    """Drive the storm, then the trace probe; return the judged report."""
+    """Drive the storm, then the trace probe; return the judged report.
+
+    An unreachable service raises :class:`~repro.errors.ServiceError`
+    before any traffic is sent.
+    """
     slo = slo if slo is not None else SloPolicy()
+    if not ServiceClient(url, timeout_s=timeout_s).healthz():
+        raise ServiceError(f"service at {url} is not healthy")
     per_tenant: list[list[RequestOutcome]] = [[] for _ in range(tenants)]
     threads = [
         threading.Thread(

@@ -7,6 +7,13 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _unreachable_url() -> str:
+    with socket.socket() as sock:  # a port nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -140,13 +147,19 @@ class TestCommands:
         assert "stereo" in out
 
     def test_unreachable_service_is_a_one_line_error(self, capsys):
-        with socket.socket() as sock:  # a port nothing listens on
-            sock.bind(("127.0.0.1", 0))
-            port = sock.getsockname()[1]
-        url = f"http://127.0.0.1:{port}"
+        url = _unreachable_url()
         assert main(["query", "tlb", "compress", "--url", url]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_loadtest_of_an_unreachable_service_is_a_one_line_error(
+        self, capsys
+    ):
+        url = _unreachable_url()
+        assert main(["loadtest", "--url", url]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert url in err
 
     @pytest.mark.parametrize("command", ["summarize", "critical-path"])
     def test_missing_trace_file_is_a_one_line_error(

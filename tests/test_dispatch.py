@@ -19,6 +19,8 @@ What the worker plane must guarantee:
 
 import http.client
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -386,6 +388,24 @@ class TestWorkerHttp:
             )
         assert status == 500
         assert doc["transient"] is False
+
+    def test_worker_leaves_no_span_directory_behind(self):
+        # A shard directory exists only while a traced evaluate runs.
+        def span_dirs():
+            return set(Path(tempfile.gettempdir()).glob("repro-worker-spans-*"))
+
+        before = span_dirs()
+        trace = TraceContext(trace_id="spandirs01", parent_id="s-1")
+        with WorkerThread(WorkerConfig()) as worker:
+            status, doc = self._request(
+                worker, "POST", "/v1/evaluate",
+                body=wire.evaluate_request(
+                    _small_cells(1), chunk=0, attempt=0, trace=trace
+                ),
+            )
+        assert status == 200
+        assert {s["trace_id"] for s in doc["spans"]} == {"spandirs01"}
+        assert span_dirs() <= before
 
     def test_evaluate_round_trips_a_chunk(self):
         cells = _small_cells(1)

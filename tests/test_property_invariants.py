@@ -251,6 +251,7 @@ class TestDistributedDeterminism:
         import json
 
         from repro.engine.engine import ExperimentEngine
+        from repro.obs.metrics import metrics
         from repro.resilience import FaultEvent, FaultPlan
 
         cells = self._cells()
@@ -261,7 +262,12 @@ class TestDistributedDeterminism:
         assert json.dumps(remote, sort_keys=True) == canon
 
         # Chunk 0's first attempt os._exit()s the worker that leased it
-        # mid-batch; the failover re-evaluation must change nothing.
+        # mid-batch; the failover re-evaluation must change nothing.  The
+        # dead worker leaves the roster with its lost lease, so the kill
+        # costs exactly one failover.
         plan = FaultPlan(events=(FaultEvent("crash", chunk=0, attempt=0),))
+        failovers = metrics().counter("repro_dispatch_failovers_total")
+        before = failovers.value()
         killed = self._remote_map(cells, fault_plan=plan)
         assert json.dumps(killed, sort_keys=True) == canon
+        assert failovers.value() == before + 1
