@@ -470,11 +470,21 @@ def _obs_critical_path(path: str, trace_id: str | None) -> int:
     return 0
 
 
+def _cache_engine(cache_dir: str) -> ExperimentEngine:
+    """An engine on ``cache_dir`` for the cache commands; a path that
+    cannot be a cache directory is a one-line error."""
+    from repro.engine.engine import ExperimentEngine
+    from repro.errors import EngineError
+
+    try:
+        return ExperimentEngine(cache_dir=cache_dir)
+    except EngineError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def _cache_verify(cache_dir: str) -> int:
     """Integrity-check a result cache; exit non-zero if anything is corrupt."""
-    from repro.engine.cache import ResultCache
-
-    cache = ResultCache(cache_dir)
+    cache = _cache_engine(cache_dir).cache
     report = cache.verify()
     print(
         f"{cache_dir}: {report.total} entr{'y' if report.total == 1 else 'ies'} "
@@ -1099,14 +1109,7 @@ def _dispatch(args) -> int:
             graph=args.graph,
         )
     elif args.command == "cache-clear":
-        from repro.engine.engine import ExperimentEngine
-        from repro.errors import EngineError
-
-        try:
-            engine = ExperimentEngine(cache_dir=args.cache_dir)
-        except EngineError as exc:
-            raise SystemExit(f"error: {exc}")
-        dropped = engine.invalidate_cache(kind=args.kind)
+        dropped = _cache_engine(args.cache_dir).invalidate_cache(kind=args.kind)
         print(f"dropped {dropped} cached result(s) from {args.cache_dir}")
     elif args.command == "export":
         from repro.experiments.export import export_all, export_figure

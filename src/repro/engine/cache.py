@@ -10,18 +10,20 @@ combining three ingredients:
 * the cell ``spec`` — the structure-configuration range plus the
   workload description (profile name, trace lengths, seeds, geometry).
 
-Entries are JSON files under ``<cache_dir>/<key[:2]>/<key>.json``,
-written atomically (temp file + rename) so concurrent engines sharing a
-cache directory never observe torn entries.  Every entry stores its
-payload as canonical JSON text with a SHA-256 **checksum of that text**;
-an entry that is unreadable, not valid JSON, or whose payload text no
-longer matches its checksum or parses to no JSON object is
-*corrupt*: it is logged, counted on the
-``repro_engine_cache_corrupt_total`` metric, moved into the
+Entries are files under ``<cache_dir>/<key[:2]>/<key>.json``, written
+atomically (temp file + rename) so concurrent engines sharing a cache
+directory never observe torn entries.  An entry is one ASCII header
+line, ``repro-cell <schema> <sha256> <kind>``, followed by the payload
+as canonical JSON text; the SHA-256 is the **checksum of that text**.
+A load reads the file once, hashes the text and parses it once.  An
+entry that is unreadable, has no header, fails its checksum or whose
+text parses to no JSON object is *corrupt*: it is logged, counted on
+the ``repro_engine_cache_corrupt_total`` metric, moved into the
 ``<cache_dir>/quarantine/`` directory for post-mortem inspection, and
-reported as a miss so the cell is recomputed.  Entries from an older
-:data:`CACHE_SCHEMA_VERSION` are silent misses (expected after an
-upgrade), not corruption.
+reported as a miss so the cell is recomputed.  Entries from another
+:data:`CACHE_SCHEMA_VERSION` — a header naming another schema, or a
+JSON entry with a ``schema`` field from before version 4 — are silent
+misses (expected after an upgrade), not corruption.
 """
 
 from __future__ import annotations
@@ -42,9 +44,14 @@ if TYPE_CHECKING:
     from repro.engine.cells import SweepCell
 
 #: Bump when the stored entry layout changes; old entries become misses.
-#: Version 2 added the payload checksum; version 3 stores the payload as
-#: its canonical JSON text and checksums that text.
-CACHE_SCHEMA_VERSION: int = 3
+#: Version 2 added the payload checksum; version 3 stored the payload as
+#: its canonical JSON text and checksummed that text; version 4 moves the
+#: schema, checksum and kind onto a header line ahead of that text.
+CACHE_SCHEMA_VERSION: int = 4
+
+#: First word of every entry's header line.
+_MAGIC = b"repro-cell"
+_SCHEMA_TAG = str(CACHE_SCHEMA_VERSION).encode("ascii")
 
 _LOG = logging.getLogger("repro.engine.cache")
 
@@ -134,6 +141,49 @@ def payload_checksum(payload: Mapping[str, Any]) -> str:
     return _sha256(canonical_json(payload))
 
 
+def _parse_entry(raw: bytes) -> tuple[dict | None, str | None]:
+    """``(payload, fault)`` of one entry's bytes; healthy = no fault.
+
+    ``"stale"`` is the one non-corrupt fault: a well-formed entry from
+    another schema version.  The payload text is canonical JSON, which
+    is ASCII, so its bytes hash to the checksum of its text.
+    """
+    header, _, body = raw.partition(b"\n")
+    fields = header.split(b" ", 3)
+    if fields[0] != _MAGIC:
+        return None, _headerless_fault(raw)
+    if len(fields) != 4:
+        return None, "malformed entry header"
+    schema, recorded = fields[1], fields[2]
+    if schema != _SCHEMA_TAG:
+        return None, "stale" if schema.isdigit() else "malformed entry header"
+    if recorded != hashlib.sha256(body).hexdigest().encode("ascii"):
+        return None, (
+            "payload checksum mismatch "
+            f"(recorded {recorded.decode('ascii', 'replace')!r})"
+        )
+    try:
+        payload = json.loads(body)
+    except ValueError:
+        payload = None
+    if not isinstance(payload, dict):
+        return None, "payload text is not a JSON object"
+    return payload, None
+
+
+def _headerless_fault(raw: bytes) -> str:
+    """The fault of an entry without a header line: a JSON entry from
+    before schema 4 (an object with a ``schema`` field) is stale,
+    anything else is corrupt."""
+    try:
+        entry = json.loads(raw)
+    except ValueError as exc:
+        return f"no entry header and not valid JSON ({exc})"
+    if isinstance(entry, dict) and "schema" in entry:
+        return "stale"
+    return "no entry header"
+
+
 @dataclass(frozen=True)
 class CacheVerifyReport:
     """Outcome of :meth:`ResultCache.verify` over a whole cache."""
@@ -154,6 +204,7 @@ class ResultCache:
 
     def __init__(self, cache_dir: str | Path) -> None:
         self.cache_dir = Path(cache_dir)
+        self._root = str(self.cache_dir)
         # The fingerprint is captured once per cache handle; rebuilding
         # the handle (one per engine) re-reads the live constants.
         self._keyer = CellKeyer()
@@ -179,55 +230,28 @@ class ResultCache:
     def load(self, key: str, strict: bool = False) -> dict | None:
         """The cached payload for ``key``, or ``None`` on any miss.
 
-        A missing entry or one from an older schema version is a plain
-        miss.  A *corrupt* entry — unreadable, not JSON, checksum
+        A missing entry or one from another schema version is a plain
+        miss.  A *corrupt* entry — unreadable, no header, checksum
         mismatch, or payload text that is no JSON object — is logged,
         counted on ``repro_engine_cache_corrupt_total`` and quarantined; with
         ``strict=False`` (the default) it then reads as a miss so the
         cell is recomputed, with ``strict=True`` it raises
         :class:`~repro.errors.CacheCorruptionError` instead.
         """
-        path = self.path(key)
+        # A string path: the hit path builds no Path object.
+        path = f"{self._root}/{key[:2]}/{key}.json"
         try:
-            raw = path.read_text(encoding="utf-8")
+            with open(path, "rb", buffering=0) as fh:
+                raw = fh.read()
         except FileNotFoundError:
             return None
         except OSError as exc:
-            self._corrupt(key, path, f"unreadable: {exc}", strict)
+            self._corrupt(key, Path(path), f"unreadable: {exc}", strict)
             return None
-        payload, reason = self._parse_entry(raw)
-        if reason == "stale":
-            return None
-        if reason is not None:
-            self._corrupt(key, path, reason, strict)
-            return None
+        payload, fault = _parse_entry(raw)
+        if fault is not None and fault != "stale":
+            self._corrupt(key, Path(path), fault, strict)
         return payload
-
-    @staticmethod
-    def _parse_entry(raw: str) -> tuple[dict | None, str | None]:
-        """``(payload, fault)`` of one entry's bytes; healthy = no fault.
-
-        ``"stale"`` is the one non-corrupt fault: a well-formed entry
-        from a different schema version.
-        """
-        try:
-            entry = json.loads(raw)
-        except ValueError as exc:
-            return None, f"not valid JSON ({exc})"
-        if not isinstance(entry, dict):
-            return None, "entry is not a JSON object"
-        if entry.get("schema") != CACHE_SCHEMA_VERSION:
-            return None, "stale"
-        text, recorded = entry.get("payload"), entry.get("checksum")
-        if not isinstance(text, str) or recorded != _sha256(text):
-            return None, f"payload checksum mismatch (recorded {recorded!r})"
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            payload = None
-        if not isinstance(payload, dict):
-            return None, "payload text is not a JSON object"
-        return payload, None
 
     def _corrupt(self, key: str, path: Path, reason: str, strict: bool) -> None:
         """Log, count and quarantine one corrupt entry; raise if strict."""
@@ -262,11 +286,12 @@ class ResultCache:
     def verify(self) -> CacheVerifyReport:
         """Integrity-check every entry, quarantining the corrupt ones.
 
-        Corrupt entries are handled exactly as on a :meth:`load` hit —
-        warning, metrics counter, quarantine — and their keys are
-        returned for reporting.  Stale (old-schema) entries are counted
-        but left in place; they are misses anyway and are overwritten
-        on recompute.
+        Entries go through the parser :meth:`load` uses.  Corrupt
+        entries are handled exactly as on a :meth:`load` hit — warning,
+        metrics counter, quarantine — and their keys are returned for
+        reporting.  Stale (other-schema) entries are counted but left in
+        place: their keys are never looked up again, and
+        :meth:`invalidate` drops them.
         """
         total = ok = stale = 0
         corrupt: list[str] = []
@@ -275,43 +300,38 @@ class ResultCache:
                 if path.parent == self.quarantine_dir:
                     continue
                 total += 1
-                key = path.stem
                 try:
-                    raw = path.read_text(encoding="utf-8")
+                    _, fault = _parse_entry(path.read_bytes())
                 except OSError as exc:
-                    self._corrupt(key, path, f"unreadable: {exc}", strict=False)
-                    corrupt.append(key)
-                    continue
-                _, reason = self._parse_entry(raw)
-                if reason is None:
+                    fault = f"unreadable: {exc}"
+                if fault is None:
                     ok += 1
-                elif reason == "stale":
+                elif fault == "stale":
                     stale += 1
                 else:
-                    self._corrupt(key, path, reason, strict=False)
-                    corrupt.append(key)
+                    self._corrupt(path.stem, path, fault, strict=False)
+                    corrupt.append(path.stem)
         return CacheVerifyReport(
             total=total, ok=ok, stale=stale, corrupt=tuple(corrupt)
         )
 
     def store(self, key: str, cell: SweepCell, payload: Mapping[str, Any]) -> Path:
-        """Atomically persist one cell's payload."""
+        """Atomically persist one cell's payload under its header line."""
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = canonical_json(dict(payload))
-        entry = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "kind": cell.kind,
-            "spec": dict(cell.spec),
-            "payload": text,
-            "checksum": _sha256(text),
-        }
+        body = canonical_json(dict(payload)).encode("ascii")
+        header = b" ".join((
+            _MAGIC,
+            _SCHEMA_TAG,
+            hashlib.sha256(body).hexdigest().encode("ascii"),
+            cell.kind.encode("utf-8"),
+        ))
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header + b"\n" + body)
             os.replace(tmp_name, path)
         # Cleanup-and-reraise: the temp file must not leak even on
         # KeyboardInterrupt, and the exception continues unswallowed.
@@ -326,20 +346,22 @@ class ResultCache:
     def invalidate(self, kind: str | None = None) -> int:
         """Drop cached entries, returning how many were removed.
 
-        With ``kind`` only entries of that cell kind are dropped (the
-        entry header records it); without, the whole cache is cleared.
+        With ``kind`` only entries whose header line names that cell
+        kind are dropped; without, the whole cache is cleared, stale
+        entries from older schemas included.
         """
         removed = 0
         if not self.cache_dir.is_dir():
             return removed
+        wanted = None if kind is None else kind.encode("utf-8")
         for path in sorted(self.cache_dir.glob("*/*.json")):
-            if kind is not None:
+            if wanted is not None:
                 try:
-                    with path.open("r", encoding="utf-8") as fh:
-                        entry = json.load(fh)
-                except (OSError, ValueError):
-                    entry = {}
-                if not isinstance(entry, dict) or entry.get("kind") != kind:
+                    with path.open("rb") as fh:
+                        fields = fh.readline().rstrip(b"\n").split(b" ", 3)
+                except OSError:
+                    continue
+                if len(fields) != 4 or fields[0] != _MAGIC or fields[3] != wanted:
                     continue
             try:
                 path.unlink()

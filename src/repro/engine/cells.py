@@ -340,15 +340,19 @@ def queue_tpi_cell(
 @register_evaluator("queue_tpi")
 def _evaluate_queue_tpi_cell(spec: Mapping[str, Any]) -> dict:
     from repro.ooo.machine import run_window_sweep
+    from repro.ooo.timing import QueueTimingModel
 
     profile = get_profile(spec["profile"])
+    sizes = tuple(int(w) for w in spec["sizes"])
+    cycle_ns = QueueTimingModel(sizes=sizes).cycle_table()
     trace = generate_instruction_trace(
         profile.ilp, spec["n_instructions"], profile.seed
     )
-    results = run_window_sweep(trace, tuple(int(w) for w in spec["sizes"]))
+    results = run_window_sweep(trace, sizes)
     return {
         "results": {
             str(w): {
+                "cycle_time_ns": cycle_ns[w],
                 "ipc": r.ipc,
                 "cycles": r.cycles,
                 "n_instructions": r.n_instructions,

@@ -31,7 +31,7 @@ from repro.engine.cells import (
     tlb_tpi_cell,
 )
 from repro.engine.engine import ExperimentEngine, default_engine
-from repro.ooo.timing import PAPER_QUEUE_SIZES, QueueTimingModel
+from repro.ooo.timing import PAPER_QUEUE_SIZES
 from repro.tlb.timing import TlbTimingModel
 from repro.workloads.profiles import BenchmarkProfile
 
@@ -123,13 +123,12 @@ class QueueStructureSweep:
 
     def results_from_payload(self, payload: dict) -> dict[int, SweepResult]:
         """Assemble :meth:`cell`'s payload into unified sweep results."""
-        cycles = QueueTimingModel(sizes=tuple(self.sizes)).cycle_table()
         return {
             int(w): SweepResult(
                 config=int(w),
-                tpi_ns=cycles[int(w)] / row["ipc"],
+                tpi_ns=row["cycle_time_ns"] / row["ipc"],
                 ipc=row["ipc"],
-                cycle_time_ns=cycles[int(w)],
+                cycle_time_ns=row["cycle_time_ns"],
             )
             for w, row in payload["results"].items()
         }

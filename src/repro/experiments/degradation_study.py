@@ -49,7 +49,6 @@ from repro.errors import ConfigurationError
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
 from repro.ooo.adaptive import AdaptiveInstructionQueue
-from repro.ooo.timing import QueueTimingModel
 from repro.robust.faults import HardwareFaultModel
 from repro.robust.guardrails import TpiWatchdog
 from repro.robust.sensors import NoisySensor, SensorNoiseConfig
@@ -140,9 +139,8 @@ def _tpi_cells(
 def _tpi_table(structure: str, payload: Mapping) -> dict[Hashable, float]:
     """Config -> true TPI (ns) from one sweep-cell payload."""
     if structure == "iqueue":
-        timing = QueueTimingModel()
         return {
-            int(w): timing.cycle_time_ns(int(w)) / row["ipc"]
+            int(w): row["cycle_time_ns"] / row["ipc"]
             for w, row in payload["results"].items()
         }
     return {

@@ -192,8 +192,9 @@ def corrupt_cache_entry(cache: "ResultCache", key: str) -> bool:
 
     Returns whether an entry existed to corrupt.  Used by the engine to
     apply a plan's ``corrupt_cache`` events and by the fault-injection
-    tests; the garbage is valid UTF-8 but not valid JSON, so detection
-    exercises the parse path rather than the checksum alone.
+    tests; the garbage has no entry header line and is not valid JSON
+    either, so it reads as corrupt, not as a stale entry from before
+    the header layout, and detection never reaches the checksum.
     """
     path = cache.path(key)
     if not path.is_file():

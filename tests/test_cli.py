@@ -73,6 +73,7 @@ class TestParser:
             (["figure", "2", "--retries", "0"], "max_attempts must be >= 1"),
             (["figure", "2", "--cache-dir", __file__], "is not a directory"),
             (["cache-clear", "--cache-dir", __file__], "is not a directory"),
+            (["cache-verify", "--cache-dir", __file__], "is not a directory"),
         ],
     )
     def test_invalid_engine_option_is_a_one_line_error(self, option, message):

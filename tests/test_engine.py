@@ -18,6 +18,7 @@ per-structure ``sweep`` entry points.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import subprocess
@@ -53,7 +54,9 @@ from repro.engine.sweeps import (
     all_structure_sweeps,
 )
 from repro.errors import EngineError
+from repro.experiments.queue_study import figure11
 from repro.obs import Tracer, summarize_trace, validate_trace
+from repro.ooo.timing import QueueTimingModel
 from repro.service.broker import SweepBroker
 from repro.workloads.suite import all_profiles, get_profile
 from tests.oracles import document_cell_key
@@ -224,8 +227,30 @@ def test_warm_load_never_re_encodes_the_payload(tmp_path, monkeypatch):
     cache.store(key, cell, payload)
     calls: list[object] = []
     monkeypatch.setattr(cache_module, "canonical_json", calls.append)
+    parses: list[object] = []
+    real_loads = json.loads
+    monkeypatch.setattr(
+        json, "loads", lambda raw, **kw: parses.append(raw) or real_loads(raw, **kw)
+    )
     assert cache.load(key) == payload
     assert calls == []
+    assert len(parses) == 1  # one parse: the payload text, nothing around it
+    monkeypatch.undo()
+    # Queue payload rows carry their cycle times: assembling a warm
+    # Figure 11 on a built engine evaluates no timing model.
+    fig11_dir = tmp_path / "fig11"
+    cold = figure11(N_INSTR, engine=ExperimentEngine(jobs=1, cache_dir=fig11_dir))
+    engine = ExperimentEngine(jobs=1, cache_dir=fig11_dir)
+    timed: list[int] = []
+    real_cycle_time = QueueTimingModel.cycle_time_ns
+    monkeypatch.setattr(
+        QueueTimingModel,
+        "cycle_time_ns",
+        lambda model, window: timed.append(window) or real_cycle_time(model, window),
+    )
+    assert figure11(N_INSTR, engine=engine) == cold
+    assert engine.stats.cache_misses == 0
+    assert timed == []
 
 
 # ---------------------------------------------------------------------------

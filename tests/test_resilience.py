@@ -30,15 +30,19 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.engine.cache import (
     CACHE_SCHEMA_VERSION,
     ResultCache,
+    canonical_json,
+    cell_key,
     payload_checksum,
 )
 from repro.engine.cells import (
@@ -393,14 +397,29 @@ def test_cache_dir_empty_string_is_rejected():
 # ---------------------------------------------------------------------------
 
 
+def _entry_lines(cache: ResultCache, key: str) -> tuple[list[bytes], bytes]:
+    """One stored entry split into its header fields and payload text."""
+    header, _, body = cache.path(key).read_bytes().partition(b"\n")
+    return header.split(b" "), body
+
+
+def _write_entry(cache: ResultCache, key: str, fields: list[bytes], body: bytes):
+    cache.path(key).write_bytes(b" ".join(fields) + b"\n" + body)
+
+
 def test_entries_record_a_payload_checksum(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     cells = _small_cells(1)
     key = cache.key(cells[0])
     cache.store(key, cells[0], {"tpi": [1.0, 2.0]})
-    entry = json.loads(cache.path(key).read_text())
-    assert entry["schema"] == CACHE_SCHEMA_VERSION
-    assert entry["checksum"] == payload_checksum({"tpi": [1.0, 2.0]})
+    fields, body = _entry_lines(cache, key)
+    assert fields == [
+        b"repro-cell",
+        str(CACHE_SCHEMA_VERSION).encode(),
+        payload_checksum({"tpi": [1.0, 2.0]}).encode(),
+        cells[0].kind.encode(),
+    ]
+    assert body == b'{"tpi":[1.0,2.0]}'
 
 
 def test_corrupt_entry_is_quarantined_and_recomputed(tmp_path, caplog):
@@ -435,12 +454,11 @@ def test_checksum_mismatch_is_corruption_even_when_json_is_valid(tmp_path):
     cells = _small_cells(1)
     key = cache.key(cells[0])
     cache.store(key, cells[0], {"tpi": [1.0]})
-    entry = json.loads(cache.path(key).read_text())
+    fields, body = _entry_lines(cache, key)
     # Change one digit of the stored payload text, keep the checksum.
-    tampered = entry["payload"].replace("1.0", "9.0")
-    assert tampered != entry["payload"]
-    entry["payload"] = tampered
-    cache.path(key).write_text(json.dumps(entry))
+    tampered = body.replace(b"1.0", b"9.0")
+    assert tampered != body
+    _write_entry(cache, key, fields, tampered)
     assert cache.load(key) is None
     assert cache.quarantined() == 1
 
@@ -451,10 +469,10 @@ def test_checksummed_payload_text_must_parse_to_an_object(tmp_path, text):
     cells = _small_cells(1)
     key = cache.key(cells[0])
     cache.store(key, cells[0], {"tpi": [1.0]})
-    entry = json.loads(cache.path(key).read_text())
-    entry["payload"] = text
-    entry["checksum"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    cache.path(key).write_text(json.dumps(entry))
+    fields, _ = _entry_lines(cache, key)
+    body = text.encode("utf-8")
+    fields[2] = hashlib.sha256(body).hexdigest().encode()
+    _write_entry(cache, key, fields, body)
     with pytest.raises(CacheCorruptionError):
         cache.load(key, strict=True)
     assert cache.quarantined() == 1
@@ -475,9 +493,9 @@ def test_old_schema_entries_are_stale_misses_not_corruption(tmp_path):
     cells = _small_cells(1)
     key = cache.key(cells[0])
     cache.store(key, cells[0], {"tpi": [1.0]})
-    entry = json.loads(cache.path(key).read_text())
-    entry["schema"] = CACHE_SCHEMA_VERSION - 1
-    cache.path(key).write_text(json.dumps(entry))
+    fields, body = _entry_lines(cache, key)
+    fields[1] = str(CACHE_SCHEMA_VERSION - 1).encode()
+    _write_entry(cache, key, fields, body)
     before = _counter("repro_engine_cache_corrupt_total")
     assert cache.load(key) is None  # a plain miss...
     assert cache.quarantined() == 0  # ...not quarantined
@@ -487,32 +505,37 @@ def test_old_schema_entries_are_stale_misses_not_corruption(tmp_path):
     assert report.healthy
 
 
-def test_schema_2_entries_are_stale_misses_overwritten_by_the_recompute(tmp_path):
+def test_schema_3_entries_stay_stale_at_their_old_keys_until_cleared(tmp_path):
     cells = _small_cells(1)
     engine = ExperimentEngine(jobs=1, cache_dir=tmp_path / "cache")
     cache = engine.cache
-    key = cache.key(cells[0])
-    path = cache.path(key)
-    path.parent.mkdir(parents=True)
-    # The schema-2 layout: the payload object itself, checksummed.
+    # The schema is part of the fingerprint, so a schema-3 tree stored
+    # this cell at another key, in the schema-3 layout: one JSON object
+    # holding the payload's canonical text and its checksum.
+    old_key = cell_key(cells[0], {**cache.fingerprint, "schema": 3})
+    new_key = cache.key(cells[0])
+    assert old_key != new_key
+    old_path = cache.path(old_key)
+    old_path.parent.mkdir(parents=True)
     old_payload = {"tpi": [123.0]}
-    path.write_text(json.dumps({
-        "schema": 2,
+    old_path.write_text(json.dumps({
+        "schema": 3,
         "kind": cells[0].kind,
         "spec": dict(cells[0].spec),
-        "payload": old_payload,
+        "payload": canonical_json(old_payload),
         "checksum": payload_checksum(old_payload),
     }))
     before = _counter("repro_engine_cache_corrupt_total")
-    assert cache.load(key) is None
     [payload] = engine.map(cells)
     assert engine.stats.cache_misses == 1
+    assert cache.load(new_key) == payload != old_payload
+    assert old_path.is_file()  # never looked up again, never overwritten
+    report = cache.verify()
+    assert (report.total, report.ok, report.stale, report.corrupt) == (2, 1, 1, ())
     assert cache.quarantined() == 0
     assert _counter("repro_engine_cache_corrupt_total") == before
-    entry = json.loads(path.read_text())
-    assert entry["schema"] == CACHE_SCHEMA_VERSION
-    assert json.loads(entry["payload"]) == payload != old_payload
-    assert cache.load(key) == payload
+    assert cache.invalidate() == 2
+    assert not old_path.exists() and not cache.path(new_key).exists()
 
 
 def test_verify_sweeps_the_whole_cache(tmp_path):
@@ -531,6 +554,73 @@ def test_verify_sweeps_the_whole_cache(tmp_path):
     assert cache.size() == 2  # quarantine is out of the entry namespace
     # a second verify sees only the healthy remainder
     assert cache.verify().healthy
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308])
+    | st.text(max_size=12)
+)
+_JSON_PAYLOADS = st.dictionaries(
+    st.text(max_size=8),
+    st.recursive(
+        _JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        max_leaves=24,
+    ),
+    max_size=6,
+)
+
+
+@pytest.fixture(scope="module")
+def entry_root(tmp_path_factory):
+    """Parent of the one-example caches the property tests below make."""
+    return tmp_path_factory.mktemp("entries")
+
+
+def _fresh_cache(root: Path):
+    cache = ResultCache(tempfile.mkdtemp(dir=root))
+    cell = _small_cells(1)[0]
+    return cache, cache.key(cell), cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_JSON_PAYLOADS)
+def test_stored_payloads_load_back_equal(entry_root, payload):
+    cache, key, cell = _fresh_cache(entry_root)
+    cache.store(key, cell, payload)
+    loaded = cache.load(key)
+    assert loaded == payload
+    # Equal text too: -0.0 stays -0.0 and 1.0 stays a float.
+    assert canonical_json(loaded) == canonical_json(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_JSON_PAYLOADS, data=st.data())
+def test_a_one_byte_overwrite_never_loads_another_payload(entry_root, payload, data):
+    cache, key, cell = _fresh_cache(entry_root)
+    path = cache.store(key, cell, payload)
+    raw = bytearray(path.read_bytes())
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    raw[at] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]))
+    path.write_bytes(raw)
+    loaded = cache.load(key)
+    if loaded is not None:
+        assert canonical_json(loaded) == canonical_json(payload)
+        verdict = (1, 0, 0)
+    elif cache.quarantined():
+        assert not path.exists()
+        verdict = (0, 0, 1)
+    else:
+        verdict = (0, 1, 0)  # a stale miss, left in place
+    # verify() classifies the same bytes the way load() did.
+    path.write_bytes(raw)
+    report = cache.verify()
+    assert (report.ok, report.stale, len(report.corrupt)) == verdict
 
 
 # ---------------------------------------------------------------------------
