@@ -4,7 +4,9 @@ Boots ``repro serve`` on an ephemeral port as a real subprocess, waits
 for its readiness line, runs one end-to-end optimization query plus a
 ``/metrics`` scrape through the typed client, and tears the server down
 — all inside a hard deadline so a wedged service fails CI instead of
-hanging it.
+hanging it.  The server's child processes (its pool worker among them)
+are recorded while it runs, and none may be alive once it has exited on
+SIGTERM.
 
 Usage: ``PYTHONPATH=src python scripts/service_smoke.py``
 """
@@ -20,6 +22,34 @@ import time
 
 DEADLINE_S = 120.0
 READY_PATTERN = re.compile(r"serving on (http://[\w.\-]+:\d+)")
+#: How long a child may take to notice its parent's exit.
+CHILD_EXIT_GRACE_S = 5.0
+HAVE_PROC = os.path.isdir("/proc/self/task")
+
+
+def children(pid: int) -> dict[int, str]:
+    """Live children of ``pid`` from ``/proc``, keyed to their start times.
+
+    The start time tells a child from a later process reusing its pid.
+    """
+    found: dict[int, str] = {}
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children", encoding="ascii") as fh:
+            for child in fh.read().split():
+                start = start_time(int(child))
+                if start is not None:
+                    found[int(child)] = start
+    return found
+
+
+def start_time(pid: int) -> str | None:
+    """The start time of a running ``pid``; ``None`` if gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            fields = fh.read().rpartition(")")[2].split()
+    except OSError:
+        return None
+    return None if fields[0] == "Z" else fields[19]
 
 
 def fail(proc: subprocess.Popen, message: str) -> None:
@@ -96,6 +126,10 @@ def main() -> None:
         if served < 1:
             fail(proc, "request counter did not record the smoke query")
         print(f"metrics ok: {len(families)} families scraped")
+        # The cold query started the pool worker; /proc is Linux-only.
+        kids = children(proc.pid) if HAVE_PROC else {}
+        if HAVE_PROC and not kids:
+            fail(proc, "the server runs no pool worker after a cold query")
     finally:
         proc.terminate()
         try:
@@ -103,6 +137,17 @@ def main() -> None:
         except subprocess.TimeoutExpired:
             proc.kill()
             raise SystemExit("service smoke FAILED: server ignored SIGTERM")
+    grace = time.monotonic() + CHILD_EXIT_GRACE_S
+    alive = dict(kids)
+    while alive and time.monotonic() < grace:
+        time.sleep(0.05)
+        alive = {pid: t for pid, t in alive.items() if start_time(pid) == t}
+    if alive:
+        raise SystemExit(
+            f"service smoke FAILED: child process(es) {sorted(alive)} "
+            "outlived the server"
+        )
+    print(f"teardown ok: {len(kids)} child process(es) exited with the server")
     print("service smoke PASSED")
 
 

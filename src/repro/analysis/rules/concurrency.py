@@ -40,6 +40,9 @@ BLOCKING_REGISTRY: dict[str, str] = {
     "repro.engine.engine.ExperimentEngine.map": (
         "runs a whole sweep synchronously; offload with `run_in_executor`"
     ),
+    "repro.engine.engine.ExperimentEngine.close": (
+        "joins the worker processes; offload with `run_in_executor`"
+    ),
     "repro.resilience.executor.ResilientExecutor.run": (
         "runs a whole sweep synchronously; offload with `run_in_executor`"
     ),

@@ -342,7 +342,8 @@ def _engine_options(run_sinks: bool = True) -> argparse.ArgumentParser:
     group = opts.add_argument_group("engine options")
     group.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for sweep cells (default: 1, serial)",
+        help="worker processes for sweep cells (default: 1: inline, but "
+        "serve evaluates in one worker process)",
     )
     group.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -484,8 +485,9 @@ def _cache_engine(cache_dir: str) -> ExperimentEngine:
 
 def _cache_verify(cache_dir: str) -> int:
     """Integrity-check a result cache; exit non-zero if anything is corrupt."""
-    cache = _cache_engine(cache_dir).cache
-    report = cache.verify()
+    with _cache_engine(cache_dir) as engine:
+        cache = engine.cache
+        report = cache.verify()
     print(
         f"{cache_dir}: {report.total} entr{'y' if report.total == 1 else 'ies'} "
         f"checked, {report.ok} ok, {report.stale} stale, "
@@ -628,7 +630,7 @@ def _loadtest(args) -> int:
                 stack.enter_context(Tracer(args.trace))
             url = args.url
             if url is None:
-                engine = _engine_from_args(args)
+                engine = stack.enter_context(_engine_from_args(args))
                 service = stack.enter_context(
                     ServiceThread(engine, ServiceConfig(port=0))
                 )
@@ -828,8 +830,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm result store capacity, LRU-evicted (default: 256)",
     )
     servep.add_argument(
-        "--batch-window", type=float, default=0.02, metavar="S",
-        help="seconds a new cell waits for batch companions (default: 0.02)",
+        "--batch-window", type=float, default=0.0, metavar="S",
+        help="seconds a new cell waits for batch companions; 0 flushes "
+             "each batch as soon as the engine is free (default: 0)",
     )
     servep.add_argument(
         "--job-journal", default=None, metavar="PATH",
@@ -1048,26 +1051,27 @@ def _dispatch(args) -> int:
     if args.command == "figures":
         print("regenerable figures:", ", ".join(sorted(_FIGURES)))
     elif args.command == "figure":
-        engine = _engine_from_args(args)
-        _run_observed(
-            args, "figure", lambda: _FIGURES[args.id](engine), figure=args.id
-        )
+        with _engine_from_args(args) as engine:
+            _run_observed(
+                args, "figure", lambda: _FIGURES[args.id](engine),
+                figure=args.id,
+            )
     elif args.command == "ablations":
         print("ablations:", ", ".join(_ABLATIONS))
     elif args.command == "ablation":
-        engine = _engine_from_args(args)
-        _run_observed(
-            args, "ablation", lambda: _ablation(args.name, engine),
-            ablation=args.name,
-        )
+        with _engine_from_args(args) as engine:
+            _run_observed(
+                args, "ablation", lambda: _ablation(args.name, engine),
+                ablation=args.name,
+            )
     elif args.command == "extensions":
         print("extensions:", ", ".join(_EXTENSIONS))
     elif args.command == "extension":
-        engine = _engine_from_args(args)
-        _run_observed(
-            args, "extension", lambda: _extension(args.name, engine),
-            extension=args.name,
-        )
+        with _engine_from_args(args) as engine:
+            _run_observed(
+                args, "extension", lambda: _extension(args.name, engine),
+                extension=args.name,
+            )
     elif args.command == "obs":
         if args.obs_command == "summarize":
             return _obs_summarize(args.path)
@@ -1075,10 +1079,11 @@ def _dispatch(args) -> int:
     elif args.command == "cache-verify":
         return _cache_verify(args.cache_dir)
     elif args.command == "degrade":
-        engine = _engine_from_args(args)
-        _run_observed(args, "degrade", lambda: _degrade(args, engine))
+        with _engine_from_args(args) as engine:
+            _run_observed(args, "degrade", lambda: _degrade(args, engine))
     elif args.command == "serve":
-        return _serve(args, _engine_from_args(args))
+        with _engine_from_args(args) as engine:
+            return _serve(args, engine)
     elif args.command == "worker":
         return _worker(args)
     elif args.command == "loadtest":
@@ -1090,7 +1095,10 @@ def _dispatch(args) -> int:
         print(format_report(report))
         return 0 if report.passed else 1
     elif args.command == "query":
-        return _query(args, None if args.url else _engine_from_args(args))
+        if args.url:
+            return _query(args, None)
+        with _engine_from_args(args) as engine:
+            return _query(args, engine)
     elif args.command == "lint":
         from repro.analysis import main as lint_main
 
@@ -1109,7 +1117,8 @@ def _dispatch(args) -> int:
             graph=args.graph,
         )
     elif args.command == "cache-clear":
-        dropped = _cache_engine(args.cache_dir).invalidate_cache(kind=args.kind)
+        with _cache_engine(args.cache_dir) as engine:
+            dropped = engine.invalidate_cache(kind=args.kind)
         print(f"dropped {dropped} cached result(s) from {args.cache_dir}")
     elif args.command == "export":
         from repro.experiments.export import export_all, export_figure

@@ -62,7 +62,9 @@ from repro.resilience.executor import (
     ChunkCallback,
     ChunkResult,
     ExecutionReport,
+    Handoff,
     ResilientExecutor,
+    WorkerPool,
 )
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RetryPolicy
@@ -347,9 +349,12 @@ class RemoteExecutor:
         sleep: Callable[[float], None] = time.sleep,
         trace_ctx: TraceContext | None = None,
         shard_dir: str | None = None,
+        pool: WorkerPool | None = None,
     ) -> None:
         self.plane = plane
         self.jobs = jobs
+        #: The engine's local pool, for the degraded path.
+        self.pool = pool
         self.policy = policy if policy is not None else RetryPolicy()
         self.fault_plan = fault_plan
         self.span = span
@@ -358,6 +363,8 @@ class RemoteExecutor:
         self.shard_dir = shard_dir
         self._clock = plane.clock
         self.report = ExecutionReport()
+        #: Hand-offs of the chunks the local fallback evaluated.
+        self.handoffs: list[Handoff] = []
         # The lease deadline never outlives the engine's per-chunk
         # timeout: whichever is tighter bounds the evaluate call.
         lease_s = plane.policy.lease_s
@@ -591,12 +598,14 @@ class RemoteExecutor:
             sleep=self._sleep,
             trace_ctx=self.trace_ctx,
             shard_dir=self.shard_dir,
+            pool=self.pool,
         )
 
         def relay(j: int, pairs: ChunkResult) -> None:
             self._deliver(remaining[j], pairs, results, "local", on_chunk_done)
 
         fallback.run([chunks[i] for i in remaining], on_chunk_done=relay)
+        self.handoffs.extend(fallback.handoffs)
         local = fallback.report
         self.report.retries += local.retries
         self.report.timeouts += local.timeouts
@@ -724,6 +733,7 @@ class DispatchPlane:
         span=None,
         trace_ctx: TraceContext | None = None,
         shard_dir: str | None = None,
+        pool: WorkerPool | None = None,
     ) -> RemoteExecutor | None:
         """A :class:`RemoteExecutor` for this batch, or ``None``.
 
@@ -754,4 +764,5 @@ class DispatchPlane:
             span=span,
             trace_ctx=trace_ctx,
             shard_dir=shard_dir,
+            pool=pool,
         )

@@ -6,19 +6,23 @@ layers, in order:
 1. **cache** — cells whose content-address is already on disk are
    served without computing anything;
 2. **fan-out** — the remaining cells are split into deterministic
-   contiguous chunks and evaluated on a ``ProcessPoolExecutor`` using
-   the ``spawn`` start method (the portable one — nothing in a cell may
-   rely on forked state), driven by a
-   :class:`~repro.resilience.ResilientExecutor` that retries transient
-   failures, respawns crashed pools, times out hung workers, and
-   degrades to serial execution past the pool-respawn budget;
+   contiguous chunks and evaluated on the engine's
+   :class:`~repro.resilience.WorkerPool`, ``spawn`` workers (the
+   portable start method — nothing in a cell may rely on forked
+   state) started by the first pooled map and reused by every later
+   one, driven by a :class:`~repro.resilience.ResilientExecutor` that
+   retries transient failures, replaces crashed pools, times out hung
+   workers, and degrades to serial execution past the pool-respawn
+   budget;
 3. **assembly** — payloads are reassembled strictly in submission
    order, so the result list is independent of worker scheduling *and*
    of any recovery action, and a ``jobs=1`` run is bitwise identical to
    a ``jobs=N`` run — faulted or not.
 
-``jobs=1`` short-circuits the pool entirely and evaluates inline, which
-is also the fallback while debugging worker-side failures.  Hit/miss
+``jobs=1`` evaluates inline and starts no pool, which is also the
+fallback while debugging worker-side failures; a ``pooled`` engine (the
+sweep service's) evaluates every miss in its pool, even at ``jobs=1``.
+:meth:`ExperimentEngine.close` ends the pool.  Hit/miss
 counters are kept on every run; under an active tracer each run is one
 ``engine.map`` span with one ``engine.cell`` event per cell (see
 ``docs/observability.md``).  Failure semantics, the fault taxonomy, and
@@ -34,14 +38,14 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.engine.cache import ResultCache
 from repro.engine.cells import SweepCell
 from repro.errors import EngineError
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
-from repro.resilience.executor import ResilientExecutor
+from repro.resilience.executor import ResilientExecutor, WorkerPool
 from repro.resilience.faults import FaultPlan, corrupt_cache_entry
 from repro.resilience.policy import RetryPolicy
 
@@ -82,7 +86,8 @@ class ExperimentEngine:
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` evaluates inline (no pool).
+        Worker processes.  ``1`` evaluates inline (no pool) unless the
+        engine is ``pooled``.
     cache_dir:
         Directory of the content-addressed result cache; ``None``
         disables caching entirely.
@@ -105,6 +110,13 @@ class ExperimentEngine:
         keeps everything on the local pool; a plane with no healthy
         workers degrades to the local pool per batch, so attaching one
         never changes results — only where they are computed.
+    pooled:
+        ``True`` evaluates every cache miss in the worker pool, even at
+        ``jobs=1`` or for a single chunk.  The sweep service sets it so
+        that no kernel runs in the process of its event loop.
+
+    The pool is started by the first pooled map, reused by every later
+    one and ended by :meth:`close` (or leaving a ``with`` block).
     """
 
     jobs: int = 1
@@ -114,6 +126,7 @@ class ExperimentEngine:
     retry: RetryPolicy | None = None
     fault_plan: FaultPlan | None = None
     dispatcher: "DispatchPlane | None" = None
+    pooled: bool = False
     stats: EngineStats = field(default_factory=EngineStats)
 
     def __post_init__(self) -> None:
@@ -143,6 +156,20 @@ class ExperimentEngine:
             if self.cache_dir is not None and self.use_cache
             else None
         )
+        self._pool = WorkerPool(self.jobs)
+
+    def close(self) -> None:
+        """End the worker pool, if one was started, and wait for it.
+
+        The engine stays usable: a later pooled map starts a new pool.
+        """
+        self._pool.close()
+
+    def __enter__(self) -> "ExperimentEngine":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- cache passthrough ------------------------------------------------
 
@@ -170,9 +197,11 @@ class ExperimentEngine:
 
         ``deadline_s`` is the caller's remaining end-to-end budget: it
         clamps the retry policy's per-chunk timeout so a pooled run
-        cannot sit on a hung worker past the deadline.  The serial path
-        (``jobs=1``) evaluates inline and cannot be interrupted, so
-        there the deadline is only enforced by the caller afterwards.
+        cannot sit on a hung worker past the deadline.  An inline run
+        (``jobs=1`` and not ``pooled``, or a single chunk) cannot be
+        interrupted, so there the deadline is only enforced by the
+        caller afterwards.  The sweep service's engine is ``pooled``,
+        so its deadlines clamp every chunk's wait at any ``jobs``.
         """
         cells = list(cells)
         with obs.span(
@@ -217,18 +246,27 @@ class ExperimentEngine:
         elapsed = time.perf_counter() - start
         busy = sum(walls[i] for i in misses)
         n_hits = len(cells) - len(misses)
-        wall_hist = metrics().histogram(
+        reg = metrics()
+        wall_hist = reg.histogram(
             "repro_engine_cell_wall_seconds", "wall time per evaluated sweep cell"
         )
+        # One label key per (kind, source) per map, not one per cell.
+        observers: dict[tuple[str, str], Callable[[float], None]] = {}
         for i, cell in enumerate(cells):
-            span.event(
-                "engine.cell",
-                index=i, kind=cell.kind, key=keys[i],
-                source=sources[i], wall_s=walls[i],
-            )
-            wall_hist.observe(walls[i], kind=cell.kind, source=sources[i])
+            labels = (cell.kind, sources[i])
+            observe = observers.get(labels)
+            if observe is None:
+                observe = observers[labels] = wall_hist.labels(
+                    kind=cell.kind, source=sources[i]
+                )
+            observe(walls[i])
+            if span.enabled:
+                span.event(
+                    "engine.cell",
+                    index=i, kind=cell.kind, key=keys[i],
+                    source=sources[i], wall_s=walls[i],
+                )
         self.stats.merge_run(n_hits, len(misses), elapsed, busy)
-        reg = metrics()
         reg.counter("repro_engine_runs_total", "engine map() batches").inc()
         reg.counter(
             "repro_engine_cache_hits_total", "sweep cells served from cache"
@@ -277,7 +315,7 @@ class ExperimentEngine:
         policy = self._retry
         if deadline_s is not None:
             # Clamp the per-chunk timeout to the caller's remaining
-            # budget (pooled mode only; the serial path has no way to
+            # budget (pooled maps only; an inline map has no way to
             # interrupt an evaluation already in flight).
             timeout = policy.timeout_s
             clamped = (
@@ -292,6 +330,8 @@ class ExperimentEngine:
             for lo in range(0, len(misses), chunk_size)
         ]
         chunks = [[cells[g] for g in group] for group in index_chunks]
+        pooled = self.pooled or (self.jobs > 1 and len(chunks) > 1)
+        pool = self._pool if pooled else None
 
         def on_chunk_done(chunk_index: int, pairs) -> None:
             for g, (payload, wall) in zip(index_chunks[chunk_index], pairs):
@@ -304,20 +344,19 @@ class ExperimentEngine:
         # process's tracer, so hand them a TraceContext anchored on the
         # open engine.map span; they write span shards to a scratch
         # directory that is stitched into the parent trace afterwards.
-        # The serial path (jobs==1 or a single chunk) needs none of
-        # this — its spans reach the active tracer in-process.
+        # An inline map needs none of this — its spans reach the active
+        # tracer in-process.
         tracer = obs.current_tracer()
         shard_dir: str | None = None
         trace_ctx: TraceContext | None = None
         # Remote dispatch always shards (the workers are other hosts);
-        # the local pool only when it actually fans out.
+        # the local path only when it evaluates in the pool.
         dispatching = self.dispatcher is not None and self.dispatcher.ready()
-        if tracer.enabled and (
-            dispatching or (self.jobs > 1 and len(chunks) > 1)
-        ):
+        if tracer.enabled and (dispatching or pooled):
             from repro.obs.stitch import TraceContext
 
-            shard_dir = tempfile.mkdtemp(prefix="repro-trace-shards-")
+            with obs.span("engine.stitch", level="engine"):
+                shard_dir = tempfile.mkdtemp(prefix="repro-trace-shards-")
             trace_ctx = TraceContext(trace_id=tracer.trace_id, parent_id=span.id)
 
         # The executor seam: a dispatch plane with healthy workers
@@ -334,6 +373,7 @@ class ExperimentEngine:
                 span=span,
                 trace_ctx=trace_ctx,
                 shard_dir=shard_dir,
+                pool=pool,
             )
         if executor is None:
             executor = ResilientExecutor(
@@ -343,6 +383,7 @@ class ExperimentEngine:
                 span=span,
                 trace_ctx=trace_ctx,
                 shard_dir=shard_dir,
+                pool=pool,
             )
         try:
             executor.run(chunks, on_chunk_done=on_chunk_done)
@@ -350,15 +391,49 @@ class ExperimentEngine:
             if shard_dir is not None:
                 from repro.obs.stitch import stitch_shards
 
-                stitched = stitch_shards(shard_dir, anchors={span.id})
-                tracer.adopt(stitched.records)
+                with obs.span("engine.stitch", level="engine"):
+                    stitched = stitch_shards(shard_dir, anchors={span.id})
+                    tracer.adopt(stitched.records)
+                    _record_handoffs(
+                        tracer, trace_ctx, stitched.records, executor.handoffs
+                    )
+                    shutil.rmtree(shard_dir, ignore_errors=True)
                 span.set(
                     worker_shards=stitched.shards,
                     stitched_spans=len(stitched.records),
                     shard_orphans=stitched.orphans,
                 )
-                shutil.rmtree(shard_dir, ignore_errors=True)
         return executor.report
+
+
+def _record_handoffs(tracer, context, records, handoffs) -> None:
+    """Name the pool's legs either side of each stitched worker span.
+
+    ``engine.pool_send`` runs from a chunk's submission to the start of
+    its ``engine.worker`` span (pickling, the call queue, the worker's
+    wake-up), ``engine.pool_return`` from that span's end to the
+    result's arrival; both hang off the ``engine.map`` span.
+    """
+    workers = {
+        (r["attrs"].get("chunk"), r["attrs"].get("attempt")): r
+        for r in records
+        if r["record"] == "span" and r["name"] == "engine.worker"
+        and r["parent"] == context.parent_id
+    }
+    for handoff in handoffs:
+        worker = workers.get((handoff.chunk, handoff.attempt))
+        if worker is None:
+            continue
+        end = worker["ts"] + worker["dur_s"]
+        for name, start, stop in (
+            ("engine.pool_send", handoff.sent_ts, worker["ts"]),
+            ("engine.pool_return", end, handoff.received_ts),
+        ):
+            tracer.record_span(
+                name, level="engine", ts=start, dur_s=max(0.0, stop - start),
+                trace_id=context.trace_id, parent=context.parent_id,
+                chunk=handoff.chunk, attempt=handoff.attempt,
+            )
 
 
 _DEFAULT_ENGINE: ExperimentEngine | None = None

@@ -22,8 +22,9 @@ Metric names follow Prometheus conventions: ``repro_`` prefix,
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import ObservabilityError
 
@@ -132,7 +133,13 @@ class Histogram(_Metric):
         self._data: dict[LabelKey, dict[str, Any]] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
+        self._observe(_label_key(labels), value)
+
+    def labels(self, **labels: Any) -> Callable[[float], None]:
+        """``observe`` bound to one label set, whose key is built once."""
+        return partial(self._observe, _label_key(labels))
+
+    def _observe(self, key: LabelKey, value: float) -> None:
         series = self._data.get(key)
         if series is None:
             series = {"counts": [0] * len(self.buckets), "sum": 0.0, "count": 0}

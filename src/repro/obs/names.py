@@ -48,20 +48,31 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "process_setup",
         # Experiment engine and structure simulators.  ``engine.worker``
         # / ``cell.evaluate`` are written by pool workers into span
-        # shards and stitched into the parent trace (repro.obs.stitch).
+        # shards and stitched into the parent trace (repro.obs.stitch);
+        # ``engine.pool_send`` / ``engine.pool_return`` are the pool's
+        # legs either side of a worker span, ``engine.pool_start`` a
+        # pool booting its workers, ``engine.stitch`` creating the shard
+        # directory and, after the chunks, stitching the shards.
         "engine.map",
         "engine.worker",
         "cell.evaluate",
+        "engine.pool_start",
+        "engine.pool_send",
+        "engine.pool_return",
+        "engine.stitch",
         "structure.run",
         # Sweep service request path: one ``service.request`` per HTTP
         # request; ``service.admit`` covers parsing and admission,
         # ``service.queue_wait`` submit-to-batch-start, ``broker.batch``
-        # one flushed engine batch, and ``service.respond`` answer-ready
-        # to encoded response.
+        # one flushed engine batch (with ``broker.to_thread`` and
+        # ``broker.fan_out`` its hand-offs either side of the engine),
+        # and ``service.respond`` answer-ready to encoded response.
         "service.request",
         "service.admit",
         "service.queue_wait",
         "broker.batch",
+        "broker.to_thread",
+        "broker.fan_out",
         "service.respond",
         # Distributed worker plane: one ``worker.evaluate`` per leased
         # chunk, written by a remote ``repro worker`` process into a

@@ -64,12 +64,14 @@ def shard_tracer(context: TraceContext, path: str | Path) -> Tracer:
     from 1) so merged ids never collide with each other or with the
     parent's ``s…`` ids.
     """
-    return Tracer(
+    tracer = Tracer(
         path,
         trace_id=context.trace_id,
         id_prefix=f"w{uuid.uuid4().hex[:8]}-",
         root_parent=context.parent_id,
     )
+    tracer.open()
+    return tracer
 
 
 @dataclass

@@ -61,6 +61,10 @@ class Span:
 
     __slots__ = ("_tracer", "name", "level", "id", "parent", "attrs", "_ts", "_t0")
 
+    #: Whether events and attributes are recorded (``False`` on the
+    #: null span), so a caller can skip building them.
+    enabled = True
+
     def __init__(self, tracer: "Tracer", name: str, level: str, attrs: dict) -> None:
         self._tracer = tracer
         self.name = name
@@ -106,6 +110,7 @@ class _NullSpan:
     """Shared do-nothing span for the disabled path."""
 
     __slots__ = ()
+    enabled = False
 
     def set(self, **attrs: Any) -> "_NullSpan":
         return self
@@ -224,10 +229,19 @@ class Tracer:
         with self._write_lock:
             self.records.append(record)
             if self.path is not None:
-                if self._fh is None:
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                    self._fh = self.path.open("a", encoding="utf-8")
-                self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+                self.open().write(json.dumps(record, sort_keys=True) + "\n")
+
+    def open(self) -> TextIO:
+        """The on-disk sink, created on first use (or now).
+
+        A shard tracer opens it before its first span, so that span
+        does not time the file's creation.
+        """
+        if self._fh is None:
+            assert self.path is not None
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = self.path.open("a", encoding="utf-8")
+        return self._fh
 
     def _emit_event(self, name: str, parent: str | None, attrs: dict) -> None:
         self._write(

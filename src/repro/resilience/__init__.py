@@ -12,7 +12,9 @@ cooperating layers:
     :class:`ResilientExecutor` — runs cell chunks to completion through
     worker crashes (``BrokenProcessPool`` → respawn + re-queue), hangs
     (timeout → pool kill), transient exceptions (backoff + retry) and,
-    past the respawn budget, graceful degradation to serial execution.
+    past the respawn budget, graceful degradation to serial execution;
+    :class:`WorkerPool` — the ``spawn`` pool an engine keeps for its
+    lifetime, whose workers ignore SIGINT and exit with their parent.
 :mod:`repro.resilience.faults`
     :class:`FaultPlan` / :class:`FaultEvent` — deterministic, seedable
     fault injection (worker crashes, hangs, transient exceptions, cache
@@ -42,12 +44,15 @@ __all__ = [
     "FaultPlan",
     "ResilientExecutor",
     "RetryPolicy",
+    "WorkerPool",
     "corrupt_cache_entry",
     "evaluate_chunk_with_faults",
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    "repro.resilience.executor": ("ExecutionReport", "ResilientExecutor"),
+    "repro.resilience.executor": (
+        "ExecutionReport", "ResilientExecutor", "WorkerPool",
+    ),
     "repro.resilience.faults": (
         "CRASH_EXIT_CODE", "FAULT_KINDS", "FaultEvent", "FaultPlan",
         "corrupt_cache_entry", "evaluate_chunk_with_faults",

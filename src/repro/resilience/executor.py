@@ -12,12 +12,19 @@ completion through every failure mode the engine knows how to survive:
   unrecoverable in-place — ``ProcessPoolExecutor`` cannot cancel
   running work — so the pool's processes are terminated and the pool is
   treated exactly like a crashed one;
+* a dead pool is **replaced**: the next round (or the next run, for a
+  :class:`WorkerPool` that outlives runs) starts a fresh one;
 * after ``max_pool_respawns`` pool deaths the executor **degrades to
   serial** in-process evaluation of whatever is still pending, which
   trades parallelism for certain completion;
 * any **non-transient exception** escalates immediately as
   :class:`~repro.errors.FatalError` — sweep cells are deterministic, so
   retrying a real bug only wastes time.
+
+The pool is a :class:`WorkerPool`: ``spawn`` workers that ignore
+SIGINT (the parent owns shutdown) and exit on their own when the parent
+process dies.  An engine owns one for its lifetime and hands it to each
+run; a run given no pool starts a private one and ends it on return.
 
 Completed chunks are delivered through the ``on_chunk_done`` callback
 *as they finish* (result-cache writes hang off it, so an
@@ -35,12 +42,15 @@ span event (``engine.retry``, ``engine.chunk_timeout``,
 from __future__ import annotations
 
 import logging
+import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.engine.cells import SweepCell
 from repro.errors import FatalError
+from repro.obs import trace as obs
 from repro.obs.metrics import metrics
 from repro.resilience.faults import FaultPlan, evaluate_chunk_with_faults
 from repro.resilience.policy import RetryPolicy
@@ -59,6 +69,21 @@ ChunkCallback = Callable[[int, ChunkResult], None]
 _LOG = logging.getLogger("repro.resilience.executor")
 
 
+@dataclass(frozen=True)
+class Handoff:
+    """When one chunk went to a pool worker and when its result came back.
+
+    Wall-clock seconds, comparable with the worker's span timestamps:
+    the gaps either side of the worker's ``engine.worker`` span are the
+    pool's pickling and transport legs.
+    """
+
+    chunk: int
+    attempt: int
+    sent_ts: float
+    received_ts: float
+
+
 @dataclass
 class ExecutionReport:
     """What one :meth:`ResilientExecutor.run` had to survive."""
@@ -70,8 +95,126 @@ class ExecutionReport:
     serial_fallback: bool = False
 
 
+def _init_worker() -> None:
+    """Pool-worker start-up: leave SIGINT to the parent, die with it.
+
+    A terminal's Ctrl-C reaches the whole process group; the parent
+    drains and ends the pool, so a worker must not die mid-chunk on it.
+    A worker whose parent is SIGKILLed would block on the call queue
+    forever, so a daemon thread waits on the parent's sentinel and
+    exits the worker when it fires.
+    """
+    import signal
+    from multiprocessing import parent_process
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent, args=(parent.sentinel,),
+            name="repro-parent-watch", daemon=True,
+        ).start()
+
+
+def _exit_with_parent(sentinel: int) -> None:
+    from multiprocessing.connection import wait
+
+    wait([sentinel])
+    os._exit(1)
+
+
+def _ready() -> None:
+    """A no-op task: its result means a worker has booted."""
+
+
+class WorkerPool:
+    """A ``spawn`` process pool started on first use and kept until closed.
+
+    Building one starts no process and imports no pool module.  The
+    first :meth:`executor` call starts the pool and waits until its
+    workers have booted, in an ``engine.pool_start`` span; later calls
+    return the same pool until a run discards it after a crash or hang,
+    after which the next call starts a fresh one.  :meth:`close` ends
+    it; the object stays usable and starts a new pool on demand.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self._executor: ProcessPoolExecutor | None = None
+        self._lock = threading.Lock()
+
+    def executor(self) -> ProcessPoolExecutor:
+        """The live pool, started if there is none.
+
+        Raises ``BrokenProcessPool`` when a new pool's workers die
+        while booting; the broken pool is discarded.
+        """
+        with self._lock:
+            if self._executor is None:
+                self._executor = self._start()
+            return self._executor
+
+    def _start(self) -> ProcessPoolExecutor:
+        # Imported here, not at module level: a serial run (and every
+        # CLI start) never loads the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        with obs.span("engine.pool_start", level="engine", workers=self.workers):
+            pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=get_context("spawn"),
+                initializer=_init_worker,
+            )
+            # Workers spawn on demand, one per task that finds none idle:
+            # one no-op per worker boots them all now, so the first
+            # chunks do not wait on interpreter start-up untraced.
+            try:
+                for ready in [pool.submit(_ready) for _ in range(self.workers)]:
+                    ready.result()
+            except BaseException:
+                _kill(pool)
+                raise
+        return pool
+
+    def discard(self, pool: ProcessPoolExecutor) -> None:
+        """Kill a dead or fatally failed pool; the next call starts anew."""
+        with self._lock:
+            if self._executor is pool:
+                self._executor = None
+        _kill(pool)
+
+    def close(self) -> None:
+        """End the pool, if one is running, and wait for its workers."""
+        with self._lock:
+            pool, self._executor = self._executor, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _kill(pool: ProcessPoolExecutor) -> None:
+    """Terminate a pool's workers and reap them."""
+    # ProcessPoolExecutor cannot cancel running work; killing the
+    # workers is the only way to reclaim a hung pool.
+    for proc in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            proc.terminate()
+        except Exception:  # racing a worker that already exited
+            pass
+    try:
+        pool.shutdown(wait=True, cancel_futures=True)
+    except Exception as exc:
+        _LOG.warning("pool shutdown after fault raised %s (ignored)", exc)
+
+
 class ResilientExecutor:
-    """Drives chunks of sweep cells to completion despite faults."""
+    """Drives chunks of sweep cells to completion despite faults.
+
+    ``pool`` is the :class:`WorkerPool` to evaluate in.  Given one, every
+    run is pooled, even at ``jobs=1`` or for a single chunk, and the
+    pool outlives the run.  Without one, ``jobs=1`` and single-chunk
+    runs evaluate inline and others start a private pool for the run.
+    """
 
     def __init__(
         self,
@@ -82,8 +225,10 @@ class ResilientExecutor:
         sleep: Callable[[float], None] = time.sleep,
         trace_ctx: TraceContext | None = None,
         shard_dir: str | None = None,
+        pool: WorkerPool | None = None,
     ) -> None:
         self.jobs = jobs
+        self.pool = pool
         self.policy = policy if policy is not None else RetryPolicy()
         self.fault_plan = fault_plan
         self.span = span
@@ -95,6 +240,8 @@ class ResilientExecutor:
         self.trace_ctx = trace_ctx
         self.shard_dir = shard_dir
         self.report = ExecutionReport()
+        #: One :class:`Handoff` per pooled chunk returned while tracing.
+        self.handoffs: list[Handoff] = []
 
     # -- public API --------------------------------------------------------
 
@@ -106,12 +253,13 @@ class ResilientExecutor:
         """Evaluate every chunk, returning results in chunk order."""
         chunks = [list(c) for c in chunks]
         self.report = ExecutionReport()
+        self.handoffs = []
         if not chunks:
             return []
         results: dict[int, ChunkResult] = {}
         attempts = {i: 0 for i in range(len(chunks))}
         pending = set(range(len(chunks)))
-        if self.jobs == 1 or len(chunks) == 1:
+        if self.pool is None and (self.jobs == 1 or len(chunks) == 1):
             self._run_serial(chunks, pending, attempts, results, on_chunk_done)
         else:
             self._run_parallel(chunks, pending, attempts, results, on_chunk_done)
@@ -120,39 +268,57 @@ class ResilientExecutor:
     # -- parallel path -----------------------------------------------------
 
     def _run_parallel(self, chunks, pending, attempts, results, on_chunk_done):
+        pool = self.pool
+        if pool is None:
+            pool = WorkerPool(min(self.jobs, len(chunks)))
         pool_deaths = 0
-        while pending:
-            if pool_deaths > self.policy.max_pool_respawns:
-                self._note_serial_fallback(pool_deaths)
-                self._run_serial(chunks, pending, attempts, results, on_chunk_done)
-                return
-            died = self._run_pooled(chunks, pending, attempts, results, on_chunk_done)
-            if died:
-                pool_deaths += 1
-                if pending and pool_deaths <= self.policy.max_pool_respawns:
-                    self._note_respawn(pool_deaths)
+        try:
+            while pending:
+                if pool_deaths > self.policy.max_pool_respawns:
+                    self._note_serial_fallback(pool_deaths)
+                    self._run_serial(
+                        chunks, pending, attempts, results, on_chunk_done
+                    )
+                    return
+                died = self._run_pooled(
+                    pool, chunks, pending, attempts, results, on_chunk_done
+                )
+                if died:
+                    pool_deaths += 1
+                    if pending and pool_deaths <= self.policy.max_pool_respawns:
+                        self._note_respawn(pool_deaths)
+        finally:
+            if pool is not self.pool:
+                pool.close()
 
-    def _run_pooled(self, chunks, pending, attempts, results, on_chunk_done) -> bool:
-        """One pool's lifetime; returns whether it died (crash or hang)."""
-        # Imported here, not at module level: a serial run (and every
-        # CLI start) never loads the process-pool machinery.
-        from concurrent.futures import ProcessPoolExecutor
+    def _run_pooled(
+        self, workers: WorkerPool, chunks, pending, attempts, results, on_chunk_done
+    ) -> bool:
+        """One pool's share of the run; returns whether it died.
+
+        A crash or hang discards the pool, and so does a fatal chunk
+        error, whose sibling chunks would otherwise keep the workers
+        busy; the next round, or the next run, starts a fresh pool.
+        """
         from concurrent.futures import TimeoutError as FuturesTimeoutError
         from concurrent.futures.process import BrokenProcessPool
-        from multiprocessing import get_context
 
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(pending)),
-            mp_context=get_context("spawn"),
-        )
+        try:
+            pool = workers.executor()
+        except BrokenProcessPool:
+            return True
+        traced = self.trace_ctx is not None
         died = kill = False
         try:
             while pending and not died:
                 order = sorted(pending)
                 futures: dict[int, Future] = {}
+                sent: dict[int, float] = {}
                 retried: list[int] = []
                 try:
                     for i in order:
+                        if traced:
+                            sent[i] = time.time()
                         futures[i] = pool.submit(
                             evaluate_chunk_with_faults,
                             chunks[i],
@@ -187,6 +353,10 @@ class ResilientExecutor:
                                     f"attempt(s): {exc}"
                                 ) from exc
                         else:
+                            if traced:
+                                self.handoffs.append(
+                                    Handoff(i, attempts[i], sent[i], time.time())
+                                )
                             self._complete(i, pairs, pending, results, on_chunk_done)
                 except BrokenProcessPool:
                     died = True
@@ -205,7 +375,8 @@ class ResilientExecutor:
                         )
                     )
         finally:
-            self._shutdown(pool, kill=kill)
+            if kill:
+                workers.discard(pool)
         return died
 
     def _reap_after_death(
@@ -234,21 +405,6 @@ class ResilientExecutor:
                     continue
             attempts[i] += 1
             self._note_lost(i, attempts[i])
-
-    def _shutdown(self, pool: ProcessPoolExecutor, kill: bool) -> None:
-        if kill:
-            # ProcessPoolExecutor cannot cancel running work; killing
-            # the workers is the only way to reclaim a hung pool.
-            processes = getattr(pool, "_processes", None) or {}
-            for proc in list(processes.values()):
-                try:
-                    proc.terminate()
-                except Exception:  # racing a worker that already exited
-                    pass
-        try:
-            pool.shutdown(wait=True, cancel_futures=kill)
-        except Exception as exc:
-            _LOG.warning("pool shutdown after fault raised %s (ignored)", exc)
 
     # -- serial path -------------------------------------------------------
 

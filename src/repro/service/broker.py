@@ -17,14 +17,17 @@ the cost ladder cheapest-first:
 4. **single-flight** — a miss whose cell is already being computed
    attaches to the open flight instead of enqueueing a duplicate, so N
    concurrent identical queries cost exactly one engine evaluation;
-5. **batch** — genuinely new cells accumulate for ``batch_window_s``
-   and fan out through *one* ``engine.map`` call, which preserves the
-   engine's process-pool parallelism, content-addressed disk cache and
-   resilience (retries, pool respawn, serial fallback) across tenants.
+5. **batch** — genuinely new cells fan out through *one*
+   ``engine.map`` call, which preserves the engine's process-pool
+   parallelism, content-addressed disk cache and resilience (retries,
+   pool respawn, serial fallback) across tenants.  A batch starts as
+   soon as the previous one returns (after ``batch_window_s``, when
+   set), and cells that arrive while one runs join the next.
 
 Everything runs on one asyncio loop — submissions, the batch task and
 completion fan-out — so the broker needs no locks; the blocking
-``engine.map`` is pushed to a thread via ``run_in_executor``.
+``engine.map`` is pushed to a thread via ``run_in_executor``, and the
+sweep service's engine evaluates in its worker processes.
 
 Crash-safety and overload-safety wrap this ladder (see
 ``docs/service.md``):
@@ -111,8 +114,9 @@ class SweepBroker:
     quota_policy: QuotaPolicy = field(default_factory=QuotaPolicy)
     warm: WarmResultStore = field(default_factory=WarmResultStore)
     #: How long a freshly queued cell waits for companions before the
-    #: batch is flushed to the engine.
-    batch_window_s: float = 0.02
+    #: batch is flushed to the engine; ``0`` flushes as soon as the
+    #: engine is free.
+    batch_window_s: float = 0.0
     jobs_retain: int = 1024
     #: Hard cap on the job table; past it admission answers 429.
     max_jobs: int = 4096
@@ -512,13 +516,22 @@ class SweepBroker:
                 return self.engine.map(cells, deadline_s=max(deadline_s, 0.001))
             return self.engine.map(cells)
 
+        # When the executor thread started and finished the engine call.
+        on_thread: list[float] = []
+
         def mapped() -> list[dict]:
-            if primary is not None:
-                job0, batch_span_id = primary
-                assert job0.trace is not None
-                with obs.scoped_trace(tracer, job0.trace.trace_id, batch_span_id):
-                    return call_engine()
-            return call_engine()
+            on_thread.append(time.time())
+            try:
+                if primary is not None:
+                    job0, batch_span_id = primary
+                    assert job0.trace is not None
+                    with obs.scoped_trace(
+                        tracer, job0.trace.trace_id, batch_span_id
+                    ):
+                        return call_engine()
+                return call_engine()
+            finally:
+                on_thread.append(time.time())
 
         error: Exception | None = None
         try:
@@ -528,37 +541,27 @@ class SweepBroker:
             # jobs as a failed state, never escape into the batch task.
             error = exc
         elapsed = time.perf_counter() - start
-        if tracer.enabled:
-            for job, batch_span_id in traced:
-                assert job.trace is not None
-                attrs: dict = {
-                    "n_cells": len(cells),
-                    "n_jobs": n_jobs,
-                    "shared": len(traced) > 1,
-                }
-                if primary is not None and job is not primary[0]:
-                    # Trace link: the engine subtree lives over there.
-                    assert primary[0].trace is not None
-                    attrs["engine_trace"] = primary[0].trace.trace_id
-                if error is not None:
-                    attrs["error"] = f"{type(error).__name__}: {error}"
-                tracer.record_span(
-                    "broker.batch",
-                    level="engine",
-                    trace_id=job.trace.trace_id,
-                    span_id=batch_span_id,
-                    parent=job.trace.parent_id,
-                    ts=batch_ts,
-                    dur_s=elapsed,
-                    **attrs,
-                )
         if error is not None:
             self.breaker.record_failure()
             for flight in batch:
                 self._flights.pop(flight.key, None)
                 for job in flight.jobs:
                     self._fail(job, f"{type(error).__name__}: {error}")
-            return
+        else:
+            self._deliver(batch, payloads, misses_before, elapsed)
+        if tracer.enabled:
+            self._record_batch(
+                tracer, traced, batch_ts, on_thread, len(cells), n_jobs, error
+            )
+
+    def _deliver(
+        self,
+        batch: list[_Flight],
+        payloads: list[dict],
+        misses_before: int,
+        elapsed: float,
+    ) -> None:
+        """Account one successful batch and answer its jobs."""
         self.breaker.record_success()
         computed = self.engine.stats.cache_misses - misses_before
         metrics().counter(
@@ -566,10 +569,10 @@ class SweepBroker:
         ).inc()
         metrics().histogram(
             "repro_service_batch_cells", "distinct cells per engine batch"
-        ).observe(len(cells))
+        ).observe(len(batch))
         obs.event(
             "service.batch_flush",
-            n_cells=len(cells),
+            n_cells=len(batch),
             computed=computed,
             elapsed_s=elapsed,
         )
@@ -584,6 +587,63 @@ class SweepBroker:
                     self._fail_deadline(job)
                 else:
                     self._finish(job, payload, source="computed")
+
+    @staticmethod
+    def _record_batch(
+        tracer: obs.Tracer,
+        traced: list[tuple[Job, str]],
+        batch_ts: float,
+        on_thread: list[float],
+        n_cells: int,
+        n_jobs: int,
+        error: Exception | None,
+    ) -> None:
+        """Record each traced job's ``broker.batch`` span, answers included.
+
+        The primary's span also names its two hand-offs: to the executor
+        thread that runs the engine (``broker.to_thread``), and from the
+        engine's return until every job has its answer
+        (``broker.fan_out``).
+        """
+        end_ts = time.time()
+        for job, batch_span_id in traced:
+            assert job.trace is not None
+            attrs: dict = {
+                "n_cells": n_cells,
+                "n_jobs": n_jobs,
+                "shared": len(traced) > 1,
+            }
+            if job is not traced[0][0]:
+                # Trace link: the engine subtree lives over there.
+                assert traced[0][0].trace is not None
+                attrs["engine_trace"] = traced[0][0].trace.trace_id
+            if error is not None:
+                attrs["error"] = f"{type(error).__name__}: {error}"
+            tracer.record_span(
+                "broker.batch",
+                level="engine",
+                trace_id=job.trace.trace_id,
+                span_id=batch_span_id,
+                parent=job.trace.parent_id,
+                ts=batch_ts,
+                dur_s=end_ts - batch_ts,
+                **attrs,
+            )
+        if traced and len(on_thread) == 2:
+            job, batch_span_id = traced[0]
+            assert job.trace is not None
+            for name, begin, finish in (
+                ("broker.to_thread", batch_ts, on_thread[0]),
+                ("broker.fan_out", on_thread[1], end_ts),
+            ):
+                tracer.record_span(
+                    name,
+                    level="engine",
+                    trace_id=job.trace.trace_id,
+                    parent=batch_span_id,
+                    ts=begin,
+                    dur_s=max(0.0, finish - begin),
+                )
 
     # -- completion -------------------------------------------------------
 
@@ -626,20 +686,20 @@ class SweepBroker:
         self.quotas.release(job.tenant)
         if self.journal is not None:
             self._journal_soon(self.journal.record_done, job.job_id, source)
-        status = job.status()
+        queued_s, wall_s = job.timings()
         metrics().counter(
             "repro_service_jobs_total", "jobs reaching a terminal state"
         ).inc(state="done", source=source)
         metrics().histogram(
             "repro_service_job_wall_seconds",
             "admission-to-completion wall time per job",
-        ).observe(status.queued_s + status.wall_s, source=source)
+        ).observe(queued_s + wall_s, source=source)
         obs.event(
             "service.job_done",
             job_id=job.job_id,
             tenant=job.tenant,
             source=source,
-            wall_s=status.wall_s,
+            wall_s=wall_s,
         )
 
     def _fail(self, job: Job, error: str) -> None:

@@ -322,10 +322,10 @@ def _run_crash_phase(
 class _FlakyEngine:
     """Duck-typed engine whose first batches fail per a seeded plan.
 
-    The broker only needs ``map`` and ``stats``; failures come from the
-    fault plan's ``transient`` events keyed by *batch index* (each
-    broker batch is one ``map`` call), so the failure schedule is a
-    pure function of the seed.
+    The service only needs ``map``, ``stats`` and ``close``; failures
+    come from the fault plan's ``transient`` events keyed by *batch
+    index* (each broker batch is one ``map`` call), so the failure
+    schedule is a pure function of the seed.
     """
 
     def __init__(self, inner: ExperimentEngine, plan: FaultPlan) -> None:
@@ -342,6 +342,9 @@ class _FlakyEngine:
         self._batches += 1
         self._plan.fire(index, 0, serial=True)
         return self._inner.map(cells, deadline_s=deadline_s)
+
+    def close(self) -> None:
+        self._inner.close()
 
 
 def _run_breaker_phase(report: ChaosReport) -> None:

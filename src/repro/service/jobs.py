@@ -116,14 +116,22 @@ class Job:
             return None
         return result_from_payload(self.request, self.payload)
 
-    def status(self) -> JobStatus:
-        """Externally visible snapshot of this job."""
+    def timings(self) -> tuple[float, float]:
+        """``(queued_s, wall_s)``: admission to start, start to finish.
+
+        A job never started (a warm hit, a fail-fast) queued for no
+        time; an unfinished one has run for no time yet.
+        """
         started = self.started if self.started is not None else self.created
-        finished = self.finished
         queued_s = max(0.0, started - self.created)
         wall_s = 0.0
-        if finished is not None:
-            wall_s = max(0.0, finished - started)
+        if self.finished is not None:
+            wall_s = max(0.0, self.finished - started)
+        return queued_s, wall_s
+
+    def status(self) -> JobStatus:
+        """Externally visible snapshot of this job."""
+        queued_s, wall_s = self.timings()
         return JobStatus(
             job_id=self.job_id,
             tenant=self.tenant,
@@ -215,15 +223,22 @@ class JobStore:
         return self._open
 
     def _trim(self, bound: int | None = None) -> None:
-        """Drop the oldest *terminal* jobs past the retention bound."""
-        limit = bound if bound is not None else self.retain
-        if len(self._jobs) <= limit:
+        """Drop the oldest *terminal* jobs past the retention bound.
+
+        Walks from the oldest job and stops once the excess is found,
+        so a table one job over its bound drops one without a copy.
+        """
+        excess = len(self._jobs) - (bound if bound is not None else self.retain)
+        if excess <= 0:
             return
-        for job_id in list(self._jobs):
-            if len(self._jobs) <= limit:
-                break
-            if self._jobs[job_id].done.is_set():
-                del self._jobs[job_id]
+        doomed: list[str] = []
+        for job_id, job in self._jobs.items():
+            if job.done.is_set():
+                doomed.append(job_id)
+                if len(doomed) == excess:
+                    break
+        for job_id in doomed:
+            del self._jobs[job_id]
 
     def _export_inflight(self) -> None:
         metrics().gauge(

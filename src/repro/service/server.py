@@ -107,7 +107,9 @@ class ServiceConfig:
     port: int = 0
     quota: QuotaPolicy = field(default_factory=QuotaPolicy)
     warm_entries: int = 256
-    batch_window_s: float = 0.02
+    #: How long a new cell waits for batch companions; ``0`` flushes
+    #: as soon as the engine is free.
+    batch_window_s: float = 0.0
     #: Default ``?wait=1`` timeout before the server gives up blocking
     #: and returns the still-running status.
     wait_timeout_s: float = 60.0
@@ -135,6 +137,11 @@ class SweepService(Listener):
     def __init__(self, engine: ExperimentEngine, config: ServiceConfig) -> None:
         super().__init__(config.host, config.port)
         self.config = config
+        # Every batch evaluates in the engine's worker pool, at any
+        # --jobs: a kernel on a thread of this process would hold the
+        # GIL that the event loop needs to answer warm requests.
+        engine.pooled = True
+        self.engine: ExperimentEngine = engine
         self.broker = SweepBroker(
             engine=engine,
             quota_policy=config.quota,
@@ -165,9 +172,12 @@ class SweepService(Listener):
 
     async def stop(self) -> None:
         # Graceful drain: stop accepting first, then give in-flight
-        # batches the drain budget before the broker cancels them.
+        # batches the drain budget before the broker cancels them, and
+        # end the engine's worker pool last.  close() joins the worker
+        # processes, so it runs off the loop.
         await super().stop()
         await self.broker.close(drain_s=self.config.drain_timeout_s)
+        await asyncio.get_running_loop().run_in_executor(None, self.engine.close)
 
     async def serve(self) -> None:
         obs.event("service.started", host=self.host, port=self.port)

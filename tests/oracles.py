@@ -14,7 +14,10 @@ for bit:
   :func:`repro.workloads.instruction_trace.generate_instruction_trace`;
 * :func:`document_cell_key` serializes a cell's whole identity
   document, the reference for the spliced keys of
-  :class:`repro.engine.cache.CellKeyer`.
+  :class:`repro.engine.cache.CellKeyer`;
+* :class:`CopyingJobStore` trims a copy of the whole job table, the
+  reference for the early-stopping walk of
+  :class:`repro.service.jobs.JobStore`.
 
 :func:`cycle_schedule` is not a replaced implementation but a direct
 model of the machine: it steps the queue cycle by cycle, so it checks
@@ -35,6 +38,7 @@ from repro.cache.stackdist import COLD_DEPTH
 from repro.engine.cells import SweepCell
 from repro.errors import SimulationError, WorkloadError
 from repro.ooo.machine import MachineConfig, MachineResult
+from repro.service.jobs import JobStore
 from repro.workloads.instruction_trace import NO_DEP, InstructionTrace
 from repro.workloads.profiles import IlpProfile
 
@@ -343,3 +347,17 @@ def document_cell_key(cell: SweepCell, fingerprint: Mapping[str, Any]) -> str:
     identity = {"tech": dict(fingerprint), "kind": cell.kind, "spec": dict(cell.spec)}
     text = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class CopyingJobStore(JobStore):
+    """A :class:`JobStore` whose trim walks a copy of every job id."""
+
+    def _trim(self, bound: int | None = None) -> None:
+        limit = bound if bound is not None else self.retain
+        if len(self._jobs) <= limit:
+            return
+        for job_id in list(self._jobs):
+            if len(self._jobs) <= limit:
+                break
+            if self._jobs[job_id].done.is_set():
+                del self._jobs[job_id]

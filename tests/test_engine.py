@@ -56,6 +56,7 @@ from repro.engine.sweeps import (
 from repro.errors import EngineError
 from repro.experiments.queue_study import figure11
 from repro.obs import Tracer, summarize_trace, validate_trace
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.ooo.timing import QueueTimingModel
 from repro.service.broker import SweepBroker
 from repro.workloads.suite import all_profiles, get_profile
@@ -353,6 +354,28 @@ def test_figure_harness_imports_load_no_pool_loop_or_http_modules():
 # ---------------------------------------------------------------------------
 # run telemetry: the trace is the engine's one event stream
 # ---------------------------------------------------------------------------
+
+
+def test_cell_wall_series_equal_one_observation_per_cell(tmp_path, monkeypatch):
+    # The engine binds one histogram series per (kind, source) per map;
+    # the export must equal observing every cell on its own.
+    registry = MetricsRegistry()
+    monkeypatch.setattr("repro.engine.engine.metrics", lambda: registry)
+    cells = _mixed_cells()
+    engine = ExperimentEngine(cache_dir=tmp_path / "cache")
+    with Tracer() as tracer:
+        engine.map(cells[::2])
+        engine.map(cells)  # the first map's cells are cache hits now
+    reference = Histogram("reference", "")
+    for record in tracer.records:
+        if record["name"] == "engine.cell":
+            attrs = record["attrs"]
+            reference.observe(
+                attrs["wall_s"], kind=attrs["kind"], source=attrs["source"]
+            )
+    exported = registry.histogram("repro_engine_cell_wall_seconds").collect()
+    assert {source for (_, (_, source)) in exported} == {"cache", "computed"}
+    assert exported == reference.collect()
 
 
 def test_telemetry_log_validates_against_the_schema(tmp_path):

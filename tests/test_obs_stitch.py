@@ -194,6 +194,25 @@ class TestEngineStitching:
         assert attrs["worker_shards"] == 4
         assert attrs["shard_orphans"] == 0
 
+    def test_pooled_run_names_the_pool_legs_around_each_worker_span(self):
+        # A jobs=1 pooled engine (the service's) ships even one chunk to
+        # its worker: the pool's boot and each chunk's send and return
+        # legs are spans under engine.map, abutting the worker span.
+        with ExperimentEngine(pooled=True) as engine, Tracer() as tracer:
+            engine.map(_small_cells(1))
+            engine.map(_small_cells(2)[1:])  # the pool is reused
+        validate_parentage(tracer.records)
+        spans = [r for r in tracer.records if r["record"] == "span"]
+        maps = [s for s in spans if s["name"] == "engine.map"]
+        assert [s["name"] for s in spans].count("engine.pool_start") == 1
+        for anchor in maps:
+            kids = {s["name"]: s for s in spans if s["parent"] == anchor["id"]}
+            worker = kids["engine.worker"]
+            send, ret = kids["engine.pool_send"], kids["engine.pool_return"]
+            assert send["ts"] + send["dur_s"] == pytest.approx(worker["ts"])
+            assert ret["ts"] == pytest.approx(worker["ts"] + worker["dur_s"])
+            assert "engine.stitch" in kids
+
     def test_serial_run_traces_workers_inline(self):
         cells = _small_cells(2)
         with Tracer() as tracer:

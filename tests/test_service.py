@@ -20,11 +20,12 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import OptimizationRequest, request_cell_key
 from repro.engine.engine import ExperimentEngine
-from repro.errors import QuotaExceededError, ServiceError
-from repro.obs.metrics import metrics
+from repro.errors import QuotaExceededError, ServiceError, ServiceOverloadedError
+from repro.obs.metrics import MetricsRegistry, metrics
 from repro.obs.promtext import parse_prometheus
 from repro.resilience import FaultEvent, FaultPlan, RetryPolicy
 from repro.service import (
@@ -36,7 +37,9 @@ from repro.service import (
     TenantQuotas,
     WarmResultStore,
 )
+from repro.service import jobs as jobs_module
 from repro.service.jobs import Job, new_job_id
+from tests.oracles import CopyingJobStore
 
 # Small sizings keep every cold evaluation fast.
 N_REFS = 3_000
@@ -196,14 +199,21 @@ class TestResilience:
     def test_worker_crash_is_retried_then_completed(self):
         # The pool worker evaluating the first chunk dies on the first
         # attempt; repro.resilience respawns the pool and re-runs it, so
-        # the service answers as if nothing happened.
+        # the service answers as if nothing happened.  The one-request
+        # batch is one chunk: the service evaluates it in the pool all
+        # the same, so the planned crash really fires.
         faulty = ExperimentEngine(
             jobs=2,
             retry=RetryPolicy(base_delay_s=0.001),
             fault_plan=FaultPlan(events=(FaultEvent("crash", chunk=0, attempt=0),)),
         )
+        lost = metrics().counter("repro_engine_lost_chunks_total")
+        respawns = metrics().counter("repro_engine_pool_respawns_total")
+        lost_before, respawns_before = lost.value(), respawns.value()
         with ServiceThread(faulty, ServiceConfig()) as thread:
             survived = ServiceClient(thread.url).optimize(tiny_request())
+        assert lost.value() == lost_before + 1
+        assert respawns.value() == respawns_before + 1
         clean = ServiceClient
         with ServiceThread(ExperimentEngine(), ServiceConfig()) as thread:
             reference = clean(thread.url).optimize(tiny_request())
@@ -286,6 +296,28 @@ class TestHttpSurface:
         finally:
             conn.close()
 
+    def test_warm_request_assembles_its_result_once(self, service, monkeypatch):
+        # The job-wall histogram reads the job's timestamps; only the
+        # response builds the result from the payload.
+        client = ServiceClient(service.url)
+        client.optimize(tiny_request(tenant="cold"))
+        registry = MetricsRegistry()
+        monkeypatch.setattr("repro.service.broker.metrics", lambda: registry)
+        assemble = jobs_module.result_from_payload
+        calls = []
+
+        def counting(request, payload):
+            calls.append(request)
+            return assemble(request, payload)
+
+        monkeypatch.setattr(jobs_module, "result_from_payload", counting)
+        status = client.submit(tiny_request(tenant="warm"), wait=True)
+        assert status.source == "warm"
+        assert len(calls) == 1
+        wall = registry.histogram("repro_service_job_wall_seconds")
+        assert wall.value(source="warm")["count"] == 1
+        assert wall.value(source="warm")["sum"] == status.queued_s + status.wall_s
+
 
 # ---------------------------------------------------------------------------
 # internals: warm store and job store bounds
@@ -350,6 +382,56 @@ class TestJobStore:
         for _ in range(3):
             store.add(self._done_job(tiny_request()))
         assert store.get(open_job.job_id) is open_job
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        retain=st.integers(1, 4),
+        headroom=st.integers(0, 3),
+        ops=st.lists(st.one_of(st.just(-1), st.integers(0, 7)), max_size=60),
+    )
+    def test_trim_matches_the_copying_oracle(self, retain, headroom, ops):
+        # Each op admits a job the broker's way (reserve, then add), or
+        # finishes the k-th still-open job.  The walk that stops early
+        # must leave the same table, in the same order, as trimming a
+        # copy of every id; and both must keep the invariants.
+        max_jobs = retain + headroom
+        store = JobStore(retain=retain, max_jobs=max_jobs)
+        oracle = CopyingJobStore(retain=retain, max_jobs=max_jobs)
+        request = tiny_request()
+        open_ids: list[str] = []
+        for op in ops:
+            if op == -1:
+                n_open = len(open_ids)
+                rejected = []
+                for table in (store, oracle):
+                    try:
+                        table.reserve()
+                    except ServiceOverloadedError:
+                        rejected.append(table)
+                # The hard cap: only open jobs can fill the table.
+                assert len(rejected) in (0, 2)
+                assert bool(rejected) == (n_open >= max_jobs)
+                if rejected:
+                    continue
+                done = [i for i, j in store._jobs.items() if j.done.is_set()]
+                excess = len(store) + 1 - retain
+                job_id = new_job_id()
+                open_ids.append(job_id)
+                for table in (store, oracle):
+                    table.add(Job(job_id, "t", request, cell_key="k"))
+                # Past retention, the oldest finished jobs go first.
+                evicted = [i for i in done if i not in store]
+                assert evicted == done[: max(0, excess)]
+            elif open_ids:
+                job_id = open_ids.pop(op % len(open_ids))
+                for table in (store, oracle):
+                    job = table.get(job_id)
+                    job.complete({}, "computed")
+                    table.note_closed(job)
+            assert list(store._jobs) == list(oracle._jobs)
+            assert len(store) <= max_jobs
+            # Unfinished jobs are never evicted.
+            assert all(job_id in store for job_id in open_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,44 @@ def run_coro(coro):
     return asyncio.run(coro)
 
 
+def serve_env():
+    """The environment a ``repro serve`` subprocess of this tree needs."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def wait_ready(proc):
+    """The URL from a ``repro serve`` subprocess's readiness line."""
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        line = proc.stdout.readline()
+        if "serving on " in line:
+            return line.split("serving on ", 1)[1].strip()
+        if proc.poll() is not None:
+            pytest.fail(f"server exited early: {proc.returncode}")
+    pytest.fail("server never became ready")
+
+
+def child_pids(pid):
+    """The live children of ``pid``, read from every thread's list."""
+    found = set()
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        found.update(int(c) for c in (task / "children").read_text().split())
+    return found
+
+
+def is_alive(pid):
+    """Whether ``pid`` runs (a zombie has exited and counts as gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
 # ---------------------------------------------------------------------------
 # job journal: WAL semantics
 # ---------------------------------------------------------------------------
@@ -396,6 +434,9 @@ class _FailingNTimesEngine:
             raise self.error
         return self._inner.map(cells, deadline_s=deadline_s)
 
+    def close(self):
+        self._inner.close()
+
 
 class TestBreakerOverHttp:
     def test_open_breaker_sheds_and_recovers(self):
@@ -510,10 +551,7 @@ class TestRecovery:
         # same journal, and every job it acked reaches a terminal state.
         journal = tmp_path / "jobs.jsonl"
         cache_dir = tmp_path / "cache"
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env["PYTHONUNBUFFERED"] = "1"
+        env = serve_env()
         argv = [
             sys.executable, "-m", "repro", "serve",
             "--port", "0", "--jobs", "1",
@@ -522,17 +560,6 @@ class TestRecovery:
             "--batch-window", "1.0",
             "--quota-burst", "64", "--quota-rate", "1000",
         ]
-
-        def wait_ready(proc):
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                line = proc.stdout.readline()
-                if "serving on " in line:
-                    return line.split("serving on ", 1)[1].strip()
-                if proc.poll() is not None:
-                    pytest.fail(f"server exited early: {proc.returncode}")
-            pytest.fail("server never became ready")
-
         proc = subprocess.Popen(
             argv, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True,
@@ -573,6 +600,39 @@ class TestRecovery:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 pytest.fail("server did not drain after SIGTERM")
+
+    @pytest.mark.skipif(
+        not Path(f"/proc/{os.getpid()}/task").is_dir(),
+        reason="reads child processes from /proc",
+    )
+    def test_sigkilled_server_leaves_no_pool_worker_behind(self):
+        # A worker blocked on its pool's call queue would outlive a
+        # SIGKILLed parent forever; each one watches its parent instead.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            env=serve_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True,
+        )
+        try:
+            url = wait_ready(proc)
+            status = ServiceClient(url, timeout_s=60.0).submit(
+                tiny_request(), wait=True
+            )
+            assert status.source == "computed"
+            workers = [
+                pid for pid in child_pids(proc.pid)
+                if b"spawn_main" in Path(f"/proc/{pid}/cmdline").read_bytes()
+            ]
+            assert len(workers) == 1  # --jobs 1: one worker process
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(map(is_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(is_alive, workers))
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
 
 
 # ---------------------------------------------------------------------------
