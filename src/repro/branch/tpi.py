@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.branch.predictors import PredictorKind, make_predictor
 from repro.branch.timing import BranchTimingModel
 from repro.branch.workloads import BRANCH_FRACTION, BranchProfile, generate_branch_trace
-from repro.errors import WorkloadError
 
 #: Miss-free pipeline efficiency, as in the cache study.
 BASE_IPC: float = 2.67
@@ -62,11 +63,21 @@ class BranchTpiModel:
         self, profile: BranchProfile, n_entries: int, n_branches: int = 20_000
     ) -> BranchBreakdown:
         """Measure one (application, table size) point."""
-        if n_branches <= 0:
-            raise WorkloadError("n_branches must be positive")
         pcs, outcomes = generate_branch_trace(profile, n_branches)
-        predictor = make_predictor(self.kind, n_entries)
-        rate = predictor.run(pcs, outcomes)
+        return self._breakdown(n_entries, pcs, outcomes)
+
+    def sweep_breakdowns(
+        self, profile: BranchProfile, n_branches: int = 20_000
+    ) -> dict[int, BranchBreakdown]:
+        """Evaluate every configured table size on one branch trace."""
+        pcs, outcomes = generate_branch_trace(profile, n_branches)
+        return {s: self._breakdown(s, pcs, outcomes) for s in self.timing.sizes}
+
+    def _breakdown(
+        self, n_entries: int, pcs: np.ndarray, outcomes: np.ndarray
+    ) -> BranchBreakdown:
+        """TPI at one table size, from cold counters over one stream."""
+        rate = make_predictor(self.kind, n_entries).run(pcs, outcomes)
         cycle = self.cycle_time_ns(n_entries)
         cpi = 1.0 / self.base_ipc + self.branch_fraction * rate * self.penalty_cycles
         return BranchBreakdown(
@@ -75,11 +86,3 @@ class BranchTpiModel:
             misprediction_rate=rate,
             tpi_ns=cycle * cpi,
         )
-
-    def sweep_breakdowns(
-        self, profile: BranchProfile, n_branches: int = 20_000
-    ) -> dict[int, BranchBreakdown]:
-        """Evaluate every configured table size."""
-        return {
-            s: self.evaluate(profile, s, n_branches) for s in self.timing.sizes
-        }

@@ -130,19 +130,20 @@ def generate_branch_trace(
         statics[filled : filled + len(chunk)] = chunk
         filled += len(chunk)
 
-    # per-branch execution counters drive the pattern position
-    occurrence = np.zeros(n, dtype=np.int64)
-    outcomes = np.empty(n_branches, dtype=bool)
+    # each branch's occurrence number of its static branch drives the
+    # pattern position: a stable sort groups every static branch's
+    # executions in time order, so an execution's rank within its group
+    # is how many times that branch ran before it
+    order = np.argsort(statics, kind="stable")
+    grouped = statics[order]
+    occurrence = np.empty(n_branches, dtype=np.int64)
+    occurrence[order] = np.arange(n_branches) - np.searchsorted(grouped, grouped)
     draws = rng.random(n_branches)
-    for i, b in enumerate(statics.tolist()):
-        k = occurrence[b]
-        occurrence[b] = k + 1
-        if patterned[b]:
-            outcomes[i] = patterns[b, k % periods[b]]
-        elif noisy[b]:
-            outcomes[i] = draws[i] < 0.5
-        else:
-            outcomes[i] = draws[i] < bias[b]
+    outcomes = np.where(
+        patterned[statics],
+        patterns[statics, occurrence % periods[statics]],
+        draws < np.where(noisy[statics], 0.5, bias[statics]),
+    )
 
     # spread static branches across the address space so table indices
     # depend on the table size under test

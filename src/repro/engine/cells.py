@@ -20,13 +20,15 @@ Each evaluator imports its structure's simulator and TPI model on first
 use, so a process loads only the kernels of the kinds it evaluates; the
 trace generators stay module attributes here, where callers (and the
 benchmark's span wrappers) look them up.  Expensive intermediates
-(stack-distance histograms) are memoised per process, so cells sharing
-a trace amortise it within a worker.
+(stack-distance and page-stack histograms) are memoised per process,
+up to :data:`MEMO_ENTRIES` each, so cells sharing a trace amortise it
+within a worker.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
@@ -211,8 +213,23 @@ def tpi_breakdown_from_payload(row: Mapping[str, Any]) -> TpiBreakdown:
 # per-process memos for expensive intermediates
 # ---------------------------------------------------------------------------
 
+#: Histograms each memo keeps, well above the 22-application suite.  A
+#: long-lived process (a ``repro serve`` pool worker) sees unboundedly
+#: many unique sizings; past this many it forgets the oldest.
+MEMO_ENTRIES: int = 256
+
 _HISTOGRAM_MEMO: dict[tuple, DepthHistogram] = {}
 _TLB_HISTOGRAM_MEMO: dict[tuple, TlbDepthHistogram] = {}
+#: Serialises eviction: a dispatch worker evaluates leases on threads.
+_MEMO_LOCK = threading.Lock()
+
+
+def _remember(memo: dict, key: tuple, value: Any) -> None:
+    """Store ``value``, evicting the oldest entries past :data:`MEMO_ENTRIES`."""
+    with _MEMO_LOCK:
+        memo[key] = value
+        while len(memo) > MEMO_ENTRIES:
+            del memo[next(iter(memo))]
 
 
 def cached_histogram(
@@ -242,7 +259,7 @@ def cached_histogram(
     histogram = DepthHistogram.from_depths(
         geometry, engine.process(addresses[warmup_refs:])
     )
-    _HISTOGRAM_MEMO[key] = histogram
+    _remember(_HISTOGRAM_MEMO, key, histogram)
     return histogram
 
 
@@ -263,7 +280,7 @@ def cached_tlb_histogram(
     histogram = TlbDepthHistogram.from_depths(
         TLB_TOTAL_ENTRIES, engine.process(trace[warmup_refs:])
     )
-    _TLB_HISTOGRAM_MEMO[key] = histogram
+    _remember(_TLB_HISTOGRAM_MEMO, key, histogram)
     return histogram
 
 
@@ -418,11 +435,11 @@ def _evaluate_branch_tpi_cell(spec: Mapping[str, Any]) -> dict:
 
     profile = get_profile(spec["profile"])
     model = BranchTpiModel(kind=PredictorKind(spec["predictor"]))
+    sweep = model.sweep_breakdowns(
+        branch_profile_for(profile), n_branches=spec["n_branches"]
+    )
     rows: dict[str, dict] = {}
-    for s in sorted(model.timing.sizes):
-        b = model.evaluate(
-            branch_profile_for(profile), s, n_branches=spec["n_branches"]
-        )
+    for s, b in sorted(sweep.items()):
         rows[str(s)] = {
             "n_entries": b.n_entries,
             "cycle_time_ns": b.cycle_time_ns,

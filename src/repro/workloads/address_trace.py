@@ -39,37 +39,48 @@ def generate_address_trace(
     """Generate ``n_refs`` byte addresses for ``profile``.
 
     Deterministic in ``seed``.  Returns a ``uint64`` array.
+
+    The source of each reference is drawn as ``Generator.choice(p=...)``
+    draws it: one uniform variate per reference, placed against the
+    normalised cumulative weights.  Counting the edges at or below each
+    variate equals ``choice``'s ``searchsorted(..., side="right")``
+    because the edges never decrease and every variate is below the
+    last edge, 1.  The component draws then follow in component order,
+    so the stream is the one a per-reference mixture would produce.
     """
     if n_refs <= 0:
         raise WorkloadError(f"n_refs must be positive, got {n_refs}")
     rng = np.random.default_rng(seed)
-    weights = np.array(profile.normalised_weights())
-    n_sources = len(weights)  # components + streaming
-    choices = rng.choice(n_sources, size=n_refs, p=weights)
-    addresses = np.zeros(n_refs, dtype=np.uint64)
+    cdf = np.cumsum(profile.normalised_weights())
+    cdf /= cdf[-1]
+    variates = rng.random(n_refs)
+    n_sources = len(cdf)  # components + streaming
+    choices = np.zeros(n_refs, dtype=np.min_scalar_type(n_sources))
+    for edge in cdf[:-1]:
+        choices += variates >= edge
+    addresses = np.empty(n_refs, dtype=np.uint64)
+    refs_per_block = np.uint64(profile.refs_per_block)
 
-    for idx, component in enumerate(profile.components):
-        mask = choices == idx
-        count = int(mask.sum())
+    for idx in range(n_sources):
+        where = np.flatnonzero(choices == idx)
+        count = len(where)
         if count == 0:
             continue
-        n_blocks = max(1, int(np.ceil(component.size_kb * 1024 / _BLOCK_BYTES)))
-        base = np.uint64((idx + 1) * _COMPONENT_STRIDE)
-        if component.kind is ComponentKind.UNIFORM:
-            blocks = rng.integers(0, n_blocks, size=count, dtype=np.uint64)
-        else:  # LOOP: cyclic sequential walk with spatial locality
-            positions = np.arange(count, dtype=np.uint64) // np.uint64(
-                profile.refs_per_block
-            )
-            blocks = positions % np.uint64(n_blocks)
-        addresses[mask] = base + blocks * np.uint64(_BLOCK_BYTES)
-
-    stream_mask = choices == n_sources - 1
-    count = int(stream_mask.sum())
-    if count:
-        base = np.uint64((n_sources + 1) * _COMPONENT_STRIDE)
-        positions = np.arange(count, dtype=np.uint64) // np.uint64(
-            profile.refs_per_block
-        )
-        addresses[stream_mask] = base + positions * np.uint64(_BLOCK_BYTES)
+        if idx == n_sources - 1:  # streaming: an unbounded sequential walk
+            blocks = np.arange(count, dtype=np.uint64)
+            blocks //= refs_per_block
+            base = (n_sources + 1) * _COMPONENT_STRIDE
+        else:
+            component = profile.components[idx]
+            n_blocks = max(1, int(np.ceil(component.size_kb * 1024 / _BLOCK_BYTES)))
+            if component.kind is ComponentKind.UNIFORM:
+                blocks = rng.integers(0, n_blocks, size=count, dtype=np.uint64)
+            else:  # LOOP: cyclic sequential walk with spatial locality
+                blocks = np.arange(count, dtype=np.uint64)
+                blocks //= refs_per_block
+                blocks %= np.uint64(n_blocks)
+            base = (idx + 1) * _COMPONENT_STRIDE
+        blocks *= np.uint64(_BLOCK_BYTES)
+        blocks += np.uint64(base)
+        addresses[where] = blocks
     return addresses

@@ -24,6 +24,7 @@ well the calibrated suite reproduces each figure.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -99,6 +100,11 @@ class MemoryProfile:
             raise ValueError("load/store fraction must be in (0, 1]")
         if self.refs_per_block < 1:
             raise ValueError("refs_per_block must be >= 1")
+        # a NaN weight passes the sign checks; the trace generator needs
+        # a finite total to normalise by
+        total = sum(c.weight for c in self.components) + self.streaming_weight
+        if not math.isfinite(total):
+            raise ValueError(f"weights must have a finite total, got {total}")
 
     def normalised_weights(self) -> tuple[float, ...]:
         """Component weights plus streaming weight, normalised to sum 1."""

@@ -1,4 +1,4 @@
-"""Test-only oracles for the simulation kernels and the trace generator.
+"""Test-only oracles for the simulation kernels and the trace generators.
 
 Most are the straightforward implementations the fast code replaced,
 kept as they were so hypothesis tests can pin the fast code to them bit
@@ -12,6 +12,16 @@ for bit:
 * :func:`scalar_instruction_trace` emits one instruction per Python
   step, the reference for
   :func:`repro.workloads.instruction_trace.generate_instruction_trace`;
+* :func:`scalar_address_trace` draws each reference's source with
+  ``Generator.choice`` and fills each source through a boolean mask,
+  the reference for
+  :func:`repro.workloads.address_trace.generate_address_trace`;
+* :func:`scalar_branch_trace` decides one branch outcome per Python
+  step, the reference for
+  :func:`repro.branch.workloads.generate_branch_trace`;
+* :class:`SteppingPredictor` predicts and trains one branch per
+  method call on a numpy counter table, the reference for the
+  ``run()`` of both predictors in :mod:`repro.branch.predictors`;
 * :func:`document_cell_key` serializes a cell's whole identity
   document, the reference for the spliced keys of
   :class:`repro.engine.cache.CellKeyer`;
@@ -33,14 +43,17 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.branch.predictors import PredictorKind
+from repro.branch.workloads import BranchProfile
 from repro.cache.config import CacheGeometry
 from repro.cache.stackdist import COLD_DEPTH
 from repro.engine.cells import SweepCell
-from repro.errors import SimulationError, WorkloadError
+from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.ooo.machine import MachineConfig, MachineResult
 from repro.service.jobs import JobStore
+from repro.workloads.address_trace import _BLOCK_BYTES, _COMPONENT_STRIDE
 from repro.workloads.instruction_trace import NO_DEP, InstructionTrace
-from repro.workloads.profiles import IlpProfile
+from repro.workloads.profiles import ComponentKind, IlpProfile, MemoryProfile
 
 
 class ScalarStackDistanceEngine:
@@ -294,6 +307,179 @@ def scalar_instruction_trace(
         dep2=np.array(dep2[:n], dtype=np.int64),
         latency=np.array(latency[:n], dtype=np.int16),
     )
+
+
+def scalar_address_trace(
+    profile: MemoryProfile, n_refs: int, seed: int
+) -> np.ndarray:
+    """Generate ``n_refs`` byte addresses for ``profile``, drawing the
+    sources with ``Generator.choice`` and filling each through a mask.
+
+    Deterministic in ``seed``.  Returns a ``uint64`` array.
+    """
+    if n_refs <= 0:
+        raise WorkloadError(f"n_refs must be positive, got {n_refs}")
+    rng = np.random.default_rng(seed)
+    weights = np.array(profile.normalised_weights())
+    n_sources = len(weights)  # components + streaming
+    choices = rng.choice(n_sources, size=n_refs, p=weights)
+    addresses = np.zeros(n_refs, dtype=np.uint64)
+
+    for idx, component in enumerate(profile.components):
+        mask = choices == idx
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        n_blocks = max(1, int(np.ceil(component.size_kb * 1024 / _BLOCK_BYTES)))
+        base = np.uint64((idx + 1) * _COMPONENT_STRIDE)
+        if component.kind is ComponentKind.UNIFORM:
+            blocks = rng.integers(0, n_blocks, size=count, dtype=np.uint64)
+        else:  # LOOP: cyclic sequential walk with spatial locality
+            positions = np.arange(count, dtype=np.uint64) // np.uint64(
+                profile.refs_per_block
+            )
+            blocks = positions % np.uint64(n_blocks)
+        addresses[mask] = base + blocks * np.uint64(_BLOCK_BYTES)
+
+    stream_mask = choices == n_sources - 1
+    count = int(stream_mask.sum())
+    if count:
+        base = np.uint64((n_sources + 1) * _COMPONENT_STRIDE)
+        positions = np.arange(count, dtype=np.uint64) // np.uint64(
+            profile.refs_per_block
+        )
+        addresses[stream_mask] = base + positions * np.uint64(_BLOCK_BYTES)
+    return addresses
+
+
+def scalar_branch_trace(
+    profile: BranchProfile, n_branches: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generate ``(pcs, outcomes)`` for ``profile``, one outcome per
+    Python step, counting each static branch's executions as it goes.
+
+    Deterministic in the profile's seed.
+    """
+    if n_branches <= 0:
+        raise WorkloadError(f"n_branches must be positive, got {n_branches}")
+    rng = np.random.default_rng(profile.seed)
+    n = profile.n_static
+
+    # population assignment per static branch
+    kinds = rng.random(n)
+    patterned = kinds < profile.patterned_fraction
+    noisy = (~patterned) & (
+        kinds < profile.patterned_fraction + profile.noisy_fraction
+    )
+    bias = np.where(rng.random(n) < 0.5, rng.uniform(0.95, 0.995, n),
+                    rng.uniform(0.005, 0.05, n))
+    periods = rng.choice((2, 4), size=n)
+    patterns = rng.random((n, 4)) < 0.6  # per-branch repeating sequence
+
+    # Zipf-weighted loop bodies
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    weights = ranks ** -profile.zipf_exponent
+    weights /= weights.sum()
+    n_templates = 4
+    body_len = max(8, n // 12)
+    templates = [
+        rng.choice(n, size=body_len, p=weights) for _ in range(n_templates)
+    ]
+
+    statics = np.empty(n_branches, dtype=np.int64)
+    filled = 0
+    while filled < n_branches:
+        body = templates[int(rng.integers(0, n_templates))]
+        repeats = int(rng.integers(10, 40))
+        chunk = np.tile(body, repeats)[: n_branches - filled]
+        statics[filled : filled + len(chunk)] = chunk
+        filled += len(chunk)
+
+    # per-branch execution counters drive the pattern position
+    occurrence = np.zeros(n, dtype=np.int64)
+    outcomes = np.empty(n_branches, dtype=bool)
+    draws = rng.random(n_branches)
+    for i, b in enumerate(statics.tolist()):
+        k = occurrence[b]
+        occurrence[b] = k + 1
+        if patterned[b]:
+            outcomes[i] = patterns[b, k % periods[b]]
+        elif noisy[b]:
+            outcomes[i] = draws[i] < 0.5
+        else:
+            outcomes[i] = draws[i] < bias[b]
+
+    pcs = (statics * 2654435761) & 0xFFFFFFFF
+    return pcs.astype(np.int64), outcomes
+
+
+class _CounterTable:
+    """A table of 2-bit saturating counters (initialised weakly taken)."""
+
+    def __init__(self, n_entries: int) -> None:
+        if n_entries < 2 or n_entries & (n_entries - 1):
+            raise ConfigurationError(
+                f"table entries must be a power of two >= 2, got {n_entries}"
+            )
+        self.n_entries = n_entries
+        self._counters = np.full(n_entries, 2, dtype=np.int8)
+
+    def predict(self, index: int) -> bool:
+        return bool(self._counters[index] >= 2)
+
+    def update(self, index: int, taken: bool) -> None:
+        c = self._counters[index]
+        if taken:
+            if c < 3:
+                self._counters[index] = c + 1
+        elif c > 0:
+            self._counters[index] = c - 1
+
+
+class SteppingPredictor:
+    """Bimodal or gshare, one ``predict_and_update`` call per branch.
+
+    ``history_bits`` is gshare's register width (the index width when
+    ``None``); a bimodal predictor keeps no history.
+    """
+
+    def __init__(
+        self, kind: PredictorKind, n_entries: int, history_bits: int | None = None
+    ) -> None:
+        self._table = _CounterTable(n_entries)
+        self._mask = n_entries - 1
+        self.gshare = kind is PredictorKind.GSHARE
+        if history_bits is None:
+            history_bits = n_entries.bit_length() - 1 if self.gshare else 0
+        self.history = 0
+        self._history_mask = (1 << history_bits) - 1
+
+    @property
+    def counters(self) -> list[int]:
+        """The counter table's values."""
+        return self._table._counters.tolist()
+
+    def predict_and_update(self, pc: int, taken: bool) -> bool:
+        """Predict the branch at ``pc``, train on the outcome and shift
+        the history register; returns whether the prediction was right."""
+        index = ((pc ^ self.history) if self.gshare else pc) & self._mask
+        prediction = self._table.predict(index)
+        self._table.update(index, taken)
+        if self.gshare:
+            self.history = ((self.history << 1) | int(taken)) & self._history_mask
+        return prediction == taken
+
+    def run(self, pcs: np.ndarray, outcomes: np.ndarray) -> float:
+        """Misprediction rate over a whole branch stream."""
+        if len(pcs) != len(outcomes):
+            raise SimulationError("pc and outcome streams must have equal length")
+        if len(pcs) == 0:
+            raise SimulationError("empty branch stream")
+        wrong = 0
+        for pc, taken in zip(pcs.tolist(), outcomes.tolist()):
+            if not self.predict_and_update(pc, bool(taken)):
+                wrong += 1
+        return wrong / len(pcs)
 
 
 def cycle_schedule(config: MachineConfig, trace: InstructionTrace) -> MachineResult:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.branch.adaptive import AdaptiveBranchPredictor, RETRAIN_CLEANUP_CYCLES
 from repro.branch.predictors import (
@@ -18,8 +19,10 @@ from repro.branch.workloads import (
     branch_profile_for,
     generate_branch_trace,
 )
+from repro.engine.cells import branch_tpi_cell, evaluate_cell
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
-from repro.workloads.suite import get_profile
+from repro.workloads.suite import all_profiles, get_profile
+from tests.oracles import SteppingPredictor, scalar_branch_trace
 
 
 class TestCounterPredictors:
@@ -31,12 +34,12 @@ class TestCounterPredictors:
         assert rate < 0.05  # initialised weakly taken, trains instantly
 
     def test_bimodal_hysteresis(self):
-        """2-bit counters absorb a single anomalous outcome."""
+        """2-bit counters absorb a single anomalous outcome: only the
+        anomaly mispredicts, and the branch after it is still predicted
+        taken."""
         p = BimodalPredictor(64)
-        for _ in range(4):
-            p.predict_and_update(3, True)
-        p.predict_and_update(3, False)  # anomaly
-        assert p.predict_and_update(3, True)  # still predicts taken
+        outcomes = np.array([True, True, True, True, False, True])
+        assert p.run(np.full(6, 3, dtype=np.int64), outcomes) == 1 / 6
 
     def test_gshare_learns_alternation_bimodal_cannot(self):
         pcs = np.zeros(400, dtype=np.int64)
@@ -63,6 +66,121 @@ class TestCounterPredictors:
     def test_factory(self):
         assert isinstance(make_predictor(PredictorKind.BIMODAL, 64), BimodalPredictor)
         assert isinstance(make_predictor(PredictorKind.GSHARE, 64), GsharePredictor)
+
+
+@st.composite
+def _streams(draw):
+    """A branch stream over a few aliasing pcs or arbitrary ones, and a
+    point to split it at."""
+    pcs = st.one_of(st.integers(0, 63), st.integers(0, 2**32 - 1))
+    stream = draw(st.lists(st.tuples(pcs, st.booleans()), min_size=2, max_size=400))
+    split = draw(st.integers(1, len(stream) - 1))
+    return (
+        np.array([pc for pc, _ in stream], dtype=np.int64),
+        np.array([taken for _, taken in stream], dtype=bool),
+        split,
+    )
+
+
+def _fast_predictor(kind, n_entries, history_bits):
+    if kind is PredictorKind.BIMODAL:
+        return BimodalPredictor(n_entries)
+    return GsharePredictor(n_entries, history_bits)
+
+
+def _assert_same_state(fast, slow):
+    assert fast._counters == slow.counters
+    if isinstance(fast, GsharePredictor):
+        assert fast._history == slow.history
+
+
+class TestRunAgainstSteppingOracle:
+    """``run()`` must give the one-call-per-branch predictor's rate and
+    leave its counters and history, also across split streams."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(PredictorKind),
+        index_bits=st.integers(1, 10),
+        history_bits=st.one_of(st.none(), st.integers(1, 16)),
+        case=_streams(),
+    )
+    def test_random_streams(self, kind, index_bits, history_bits, case):
+        pcs, outcomes, split = case
+        n_entries = 1 << index_bits
+        if kind is PredictorKind.BIMODAL:
+            history_bits = None
+
+        fast = _fast_predictor(kind, n_entries, history_bits)
+        slow = SteppingPredictor(kind, n_entries, history_bits)
+        assert fast.run(pcs, outcomes) == slow.run(pcs, outcomes)
+        _assert_same_state(fast, slow)
+
+        fast = _fast_predictor(kind, n_entries, history_bits)
+        slow = SteppingPredictor(kind, n_entries, history_bits)
+        for part in (slice(0, split), slice(split, None)):
+            assert fast.run(pcs[part], outcomes[part]) == slow.run(
+                pcs[part], outcomes[part]
+            )
+            _assert_same_state(fast, slow)
+
+    @pytest.mark.parametrize("kind", list(PredictorKind))
+    @pytest.mark.parametrize("app", ["gcc", "li", "swim"])
+    def test_suite_streams_at_every_size(self, kind, app):
+        pcs, outcomes = generate_branch_trace(
+            branch_profile_for(get_profile(app)), 2_500
+        )
+        for size in PREDICTOR_TABLE_SIZES:
+            fast = make_predictor(kind, size)
+            slow = SteppingPredictor(kind, size)
+            assert fast.run(pcs, outcomes) == slow.run(pcs, outcomes)
+            _assert_same_state(fast, slow)
+
+
+@st.composite
+def _branch_profiles(draw):
+    patterned = draw(st.floats(0.0, 1.0))
+    noisy = draw(st.floats(0.0, 1.0 - patterned))
+    assume(patterned + noisy <= 1.0)
+    return BranchProfile(
+        name="random",
+        n_static=draw(st.one_of(st.integers(4, 40), st.integers(4, 2500))),
+        patterned_fraction=patterned,
+        noisy_fraction=noisy,
+        zipf_exponent=draw(st.floats(0.05, 4.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _assert_same_trace(fast, slow):
+    for a, b in zip(fast, slow):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+class TestBranchTraceAgainstScalarOracle:
+    """The bulk generator must emit the per-branch loop's stream byte for
+    byte, from the same PCG64 stream."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        profile=_branch_profiles(),
+        n_branches=st.one_of(st.integers(1, 16), st.integers(1, 3000)),
+    )
+    def test_random_profiles(self, profile, n_branches):
+        _assert_same_trace(
+            generate_branch_trace(profile, n_branches),
+            scalar_branch_trace(profile, n_branches),
+        )
+
+    @pytest.mark.parametrize("n_branches", [1, 5, 2_048, 2_500, 20_000, 20_001])
+    def test_suite(self, n_branches):
+        for app in all_profiles():
+            profile = branch_profile_for(app)
+            _assert_same_trace(
+                generate_branch_trace(profile, n_branches),
+                scalar_branch_trace(profile, n_branches),
+            )
 
 
 class TestBranchWorkloads:
@@ -148,6 +266,37 @@ class TestBranchTpi:
         profile = branch_profile_for(get_profile("swim"))
         with pytest.raises(WorkloadError):
             model.evaluate(profile, 1024, n_branches=0)
+        with pytest.raises(WorkloadError):
+            model.sweep_breakdowns(profile, n_branches=0)
+
+    @pytest.mark.parametrize("kind", list(PredictorKind))
+    def test_sweep_equals_one_evaluation_per_size(self, kind):
+        model = BranchTpiModel(kind=kind)
+        profile = branch_profile_for(get_profile("gcc"))
+        sweep = model.sweep_breakdowns(profile, n_branches=3_000)
+        assert sweep == {
+            s: model.evaluate(profile, s, n_branches=3_000)
+            for s in model.timing.sizes
+        }
+
+    def test_cell_generates_its_trace_once(self, monkeypatch):
+        import repro.branch.tpi as tpi
+
+        calls = []
+        generate = tpi.generate_branch_trace
+
+        def counting(profile, n_branches):
+            calls.append(n_branches)
+            return generate(profile, n_branches)
+
+        monkeypatch.setattr(tpi, "generate_branch_trace", counting)
+        payload = evaluate_cell(
+            branch_tpi_cell(get_profile("li"), PredictorKind.GSHARE, 2_500)
+        )
+        assert calls == [2_500]
+        assert list(payload["breakdowns"]) == [
+            str(s) for s in PREDICTOR_TABLE_SIZES
+        ]
 
 
 class TestAdaptivePredictor:

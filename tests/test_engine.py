@@ -18,11 +18,13 @@ per-structure ``sweep`` entry points.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -59,7 +61,7 @@ from repro.obs import Tracer, summarize_trace, validate_trace
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.ooo.timing import QueueTimingModel
 from repro.service.broker import SweepBroker
-from repro.workloads.suite import all_profiles, get_profile
+from repro.workloads.suite import all_profiles, cache_study_profiles, get_profile
 from tests.oracles import document_cell_key
 
 #: Deliberately small traces: every test below re-simulates cells.
@@ -100,6 +102,86 @@ def test_cells_are_picklable_for_spawn_workers():
 def test_unknown_cell_kind_is_an_engine_error():
     with pytest.raises(EngineError):
         evaluate_cell(SweepCell(kind="nope", spec={}))
+
+
+# ---------------------------------------------------------------------------
+# per-process histogram memos
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def empty_memos(monkeypatch):
+    """Fresh histogram memos, so earlier tests' entries do not count."""
+    from repro.engine import cells
+
+    monkeypatch.setattr(cells, "_HISTOGRAM_MEMO", {})
+    monkeypatch.setattr(cells, "_TLB_HISTOGRAM_MEMO", {})
+    return cells
+
+
+def test_histogram_memos_forget_the_oldest_past_their_bound(empty_memos):
+    cells = empty_memos
+    sizings = itertools.islice(
+        itertools.product(range(2, 1_000), cache_study_profiles()), 1_000
+    )
+    first = last = None
+    for n_refs, profile in sizings:
+        evaluate_cell(cache_tpi_cell(profile, n_refs, 1, (1, 2)))
+        evaluate_cell(tlb_tpi_cell(profile, n_refs, 1))
+        first = first or (profile.name, n_refs, 1)
+        last = (profile.name, n_refs, 1)
+    for memo in (cells._HISTOGRAM_MEMO, cells._TLB_HISTOGRAM_MEMO):
+        assert len(memo) == cells.MEMO_ENTRIES
+        keys = [key[:3] for key in memo]
+        assert first not in keys
+        assert keys[-1] == last
+
+
+def test_memo_eviction_survives_concurrent_writers():
+    from repro.engine import cells
+
+    memo: dict = {}
+    errors: list[Exception] = []
+
+    def write(thread: int) -> None:
+        try:
+            for i in range(3_000):
+                cells._remember(memo, (thread, i), i)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(memo) == cells.MEMO_ENTRIES
+
+
+def test_figure8_9_after_figure7_reuses_every_histogram(empty_memos, monkeypatch):
+    from repro.cache.stackdist import StackDistanceEngine
+    from repro.experiments.cache_study import figure7, figure8_9
+
+    calls = []
+    process = StackDistanceEngine.process
+
+    def counting(self, addresses):
+        calls.append(len(addresses))
+        return process(self, addresses)
+
+    monkeypatch.setattr(StackDistanceEngine, "process", counting)
+    figure7(N_REFS, WARMUP)
+    in_figure7 = len(calls)
+    figure8_9(N_REFS, WARMUP)
+    assert in_figure7 == 2 * len(cache_study_profiles())  # warm-up + measured
+    assert len(calls) == in_figure7
 
 
 # ---------------------------------------------------------------------------

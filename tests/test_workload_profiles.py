@@ -51,6 +51,24 @@ class TestMemoryProfile:
                 load_store_fraction=0.3,
             )
 
+    @pytest.mark.parametrize(
+        "components, streaming",
+        [
+            ((uniform(4, float("nan")),), 0.1),
+            ((uniform(4, float("inf")),), 0.1),
+            ((uniform(4, 1.0),), float("nan")),
+            ((uniform(4, 1.0),), float("inf")),
+            ((uniform(4, 1e308), loop(8, 1e308)), 0.0),
+        ],
+    )
+    def test_rejects_weights_without_a_finite_total(self, components, streaming):
+        with pytest.raises(ValueError):
+            MemoryProfile(
+                components=components,
+                streaming_weight=streaming,
+                load_store_fraction=0.3,
+            )
+
     def test_rejects_bad_ls_fraction(self):
         for bad in (0.0, 1.5):
             with pytest.raises(ValueError):

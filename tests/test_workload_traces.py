@@ -11,9 +11,16 @@ from repro.workloads.instruction_trace import (
     concatenate,
     generate_instruction_trace,
 )
-from repro.workloads.profiles import IlpProfile, MemoryProfile, loop, uniform
-from repro.workloads.suite import queue_study_profiles
-from tests.oracles import scalar_instruction_trace
+from repro.workloads.profiles import (
+    ComponentKind,
+    IlpProfile,
+    MemoryProfile,
+    WorkingSetComponent,
+    loop,
+    uniform,
+)
+from repro.workloads.suite import cache_study_profiles, queue_study_profiles
+from tests.oracles import scalar_address_trace, scalar_instruction_trace
 
 
 def _profile(**kw):
@@ -88,6 +95,60 @@ class TestAddressTraceGenerator:
         addrs = generate_address_trace(p, 4000, 5)
         same_block = np.sum((addrs[1:] >> 5) == (addrs[:-1] >> 5))
         assert same_block / len(addrs) > 0.6  # ~3/4 back-to-back
+
+
+@st.composite
+def _memory_profiles(draw):
+    """1-4 components of either kind, a streaming weight that may be 0."""
+    components = draw(
+        st.lists(
+            st.builds(
+                WorkingSetComponent,
+                size_kb=st.floats(0.01, 512.0),
+                weight=st.floats(1e-6, 10.0),
+                kind=st.sampled_from(ComponentKind),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return MemoryProfile(
+        components=tuple(components),
+        streaming_weight=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+        load_store_fraction=0.3,
+        refs_per_block=draw(st.integers(1, 8)),
+    )
+
+
+class TestAddressTraceAgainstScalarOracle:
+    """The bulk generator must emit the ``Generator.choice`` generator's
+    addresses byte for byte, from the same PCG64 stream."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        profile=_memory_profiles(),
+        n_refs=st.one_of(st.integers(1, 16), st.integers(1, 5000)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(profile=_profile(streaming_weight=0.0), n_refs=1, seed=0)
+    def test_random_profiles(self, profile, n_refs, seed):
+        fast = generate_address_trace(profile, n_refs, seed)
+        slow = scalar_address_trace(profile, n_refs, seed)
+        assert fast.dtype == slow.dtype
+        assert fast.tobytes() == slow.tobytes()
+
+    def test_suite_at_paper_sizing(self):
+        from repro.experiments.cache_study import (
+            DEFAULT_N_REFS,
+            DEFAULT_WARMUP_REFS,
+        )
+
+        n_refs = DEFAULT_N_REFS + DEFAULT_WARMUP_REFS
+        for profile in cache_study_profiles():
+            assert (
+                generate_address_trace(profile.memory, n_refs, profile.seed).tobytes()
+                == scalar_address_trace(profile.memory, n_refs, profile.seed).tobytes()
+            ), profile.name
 
 
 class TestInstructionTraceGenerator:
