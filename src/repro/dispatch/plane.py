@@ -350,11 +350,14 @@ class RemoteExecutor:
         trace_ctx: TraceContext | None = None,
         shard_dir: str | None = None,
         pool: WorkerPool | None = None,
+        deadline: float | None = None,
     ) -> None:
         self.plane = plane
         self.jobs = jobs
         #: The engine's local pool, for the degraded path.
         self.pool = pool
+        #: The caller's absolute deadline (``time.monotonic``), if any.
+        self.deadline = deadline
         self.policy = policy if policy is not None else RetryPolicy()
         self.fault_plan = fault_plan
         self.span = span
@@ -366,10 +369,13 @@ class RemoteExecutor:
         #: Hand-offs of the chunks the local fallback evaluated.
         self.handoffs: list[Handoff] = []
         # The lease deadline never outlives the engine's per-chunk
-        # timeout: whichever is tighter bounds the evaluate call.
+        # timeout or the caller's remaining budget: whichever is
+        # tighter bounds the evaluate call.
         lease_s = plane.policy.lease_s
         if self.policy.timeout_s is not None:
             lease_s = min(lease_s, self.policy.timeout_s)
+        if deadline is not None:
+            lease_s = min(lease_s, max(deadline - time.monotonic(), 0.001))
         self._lease_timeout_s = lease_s
 
     # -- public API --------------------------------------------------------
@@ -599,6 +605,7 @@ class RemoteExecutor:
             trace_ctx=self.trace_ctx,
             shard_dir=self.shard_dir,
             pool=self.pool,
+            deadline=self.deadline,
         )
 
         def relay(j: int, pairs: ChunkResult) -> None:
@@ -686,15 +693,16 @@ class RemoteExecutor:
     def _write_spans(self, spans: list, lease: _Lease) -> None:
         """Drop a worker's span records into the engine's shard dir.
 
-        Written as one more ``*.spans.jsonl`` shard so the engine's
-        existing :func:`~repro.obs.stitch.stitch_shards` pass merges
-        remote spans exactly like local pool shards.
+        Written as one more ``*.spans.jsonl`` shard, named for the
+        map's span like a local pool shard, so the engine's
+        :func:`~repro.obs.stitch.stitch_shards` pass merges remote spans
+        exactly like local ones.
         """
-        if not self.shard_dir or not spans:
+        if not self.shard_dir or not spans or self.trace_ctx is None:
             return
         name = (
-            f"remote-chunk-{lease.chunk:04d}-attempt-{lease.attempt}"
-            f"-{lease.worker_id}{SHARD_SUFFIX}"
+            f"{self.trace_ctx.parent_id}.remote-chunk-{lease.chunk:04d}"
+            f"-attempt-{lease.attempt}-{lease.worker_id}{SHARD_SUFFIX}"
         )
         path = Path(self.shard_dir) / name
         with open(path, "w", encoding="utf-8") as fh:
@@ -734,6 +742,7 @@ class DispatchPlane:
         trace_ctx: TraceContext | None = None,
         shard_dir: str | None = None,
         pool: WorkerPool | None = None,
+        deadline: float | None = None,
     ) -> RemoteExecutor | None:
         """A :class:`RemoteExecutor` for this batch, or ``None``.
 
@@ -765,4 +774,5 @@ class DispatchPlane:
             trace_ctx=trace_ctx,
             shard_dir=shard_dir,
             pool=pool,
+            deadline=deadline,
         )

@@ -36,7 +36,8 @@ import math
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+import weakref
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -157,13 +158,22 @@ class ExperimentEngine:
             else None
         )
         self._pool = WorkerPool(self.jobs)
+        # Where pooled workers write trace shards: made by the first
+        # traced pooled map, removed by close() (or, for an engine never
+        # closed, when it is collected or the interpreter exits).
+        self._shard_dir: str | None = None
+        self._shard_cleanup: weakref.finalize | None = None
 
     def close(self) -> None:
-        """End the worker pool, if one was started, and wait for it.
+        """End the worker pool, if one was started, and wait for it;
+        remove the trace-shard directory, if one was made.
 
         The engine stays usable: a later pooled map starts a new pool.
         """
         self._pool.close()
+        if self._shard_cleanup is not None:
+            self._shard_cleanup()
+            self._shard_dir = self._shard_cleanup = None
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -195,13 +205,17 @@ class ExperimentEngine:
     ) -> list[dict]:
         """Evaluate every cell, returning payloads in submission order.
 
-        ``deadline_s`` is the caller's remaining end-to-end budget: it
-        clamps the retry policy's per-chunk timeout so a pooled run
-        cannot sit on a hung worker past the deadline.  An inline run
+        ``deadline_s`` is the caller's remaining end-to-end budget,
+        fixed as an absolute time when the map starts.  A pooled map
+        waits on each chunk until then at most (or the policy's
+        ``timeout_s``, if sooner).  When the deadline passes, the pool is
+        discarded and :class:`~repro.errors.DeadlineExceededError`
+        raised: no respawn, no re-run, no serial fallback.  Chunks that
+        finished in time are already in the result cache.  An inline run
         (``jobs=1`` and not ``pooled``, or a single chunk) cannot be
         interrupted, so there the deadline is only enforced by the
         caller afterwards.  The sweep service's engine is ``pooled``,
-        so its deadlines clamp every chunk's wait at any ``jobs``.
+        so its deadlines bound every chunk's wait at any ``jobs``.
         """
         cells = list(cells)
         with obs.span(
@@ -312,16 +326,10 @@ class ExperimentEngine:
         run keeps everything that finished and a re-run with the same
         cache directory resumes from there.
         """
-        policy = self._retry
-        if deadline_s is not None:
-            # Clamp the per-chunk timeout to the caller's remaining
-            # budget (pooled maps only; an inline map has no way to
-            # interrupt an evaluation already in flight).
-            timeout = policy.timeout_s
-            clamped = (
-                deadline_s if timeout is None else min(timeout, deadline_s)
-            )
-            policy = replace(policy, timeout_s=max(clamped, 0.001))
+        # The caller's budget as an absolute time: each pooled chunk
+        # wait ends by it (an inline map has no way to interrupt an
+        # evaluation already in flight).
+        deadline = None if deadline_s is None else time.monotonic() + deadline_s
         chunk_size = self.chunk_size or max(
             1, math.ceil(len(misses) / (self.jobs * CHUNKS_PER_WORKER))
         )
@@ -342,10 +350,11 @@ class ExperimentEngine:
 
         # Cross-process tracing: pooled workers cannot see this
         # process's tracer, so hand them a TraceContext anchored on the
-        # open engine.map span; they write span shards to a scratch
-        # directory that is stitched into the parent trace afterwards.
-        # An inline map needs none of this — its spans reach the active
-        # tracer in-process.
+        # open engine.map span; they write span shards, named for that
+        # span, to the engine's shard directory, and this map stitches
+        # its own shards into the parent trace afterwards.  An inline
+        # map needs none of this — its spans reach the active tracer
+        # in-process.
         tracer = obs.current_tracer()
         shard_dir: str | None = None
         trace_ctx: TraceContext | None = None
@@ -355,8 +364,7 @@ class ExperimentEngine:
         if tracer.enabled and (dispatching or pooled):
             from repro.obs.stitch import TraceContext
 
-            with obs.span("engine.stitch", level="engine"):
-                shard_dir = tempfile.mkdtemp(prefix="repro-trace-shards-")
+            shard_dir = self._shards()
             trace_ctx = TraceContext(trace_id=tracer.trace_id, parent_id=span.id)
 
         # The executor seam: a dispatch plane with healthy workers
@@ -368,22 +376,24 @@ class ExperimentEngine:
         if self.dispatcher is not None:
             executor = self.dispatcher.executor(
                 jobs=self.jobs,
-                policy=policy,
+                policy=self._retry,
                 fault_plan=self.fault_plan,
                 span=span,
                 trace_ctx=trace_ctx,
                 shard_dir=shard_dir,
                 pool=pool,
+                deadline=deadline,
             )
         if executor is None:
             executor = ResilientExecutor(
                 jobs=self.jobs,
-                policy=policy,
+                policy=self._retry,
                 fault_plan=self.fault_plan,
                 span=span,
                 trace_ctx=trace_ctx,
                 shard_dir=shard_dir,
                 pool=pool,
+                deadline=deadline,
             )
         try:
             executor.run(chunks, on_chunk_done=on_chunk_done)
@@ -397,13 +407,22 @@ class ExperimentEngine:
                     _record_handoffs(
                         tracer, trace_ctx, stitched.records, executor.handoffs
                     )
-                    shutil.rmtree(shard_dir, ignore_errors=True)
                 span.set(
                     worker_shards=stitched.shards,
                     stitched_spans=len(stitched.records),
                     shard_orphans=stitched.orphans,
                 )
         return executor.report
+
+    def _shards(self) -> str:
+        """The trace-shard directory, made on first use."""
+        if self._shard_dir is None:
+            with obs.span("engine.stitch", level="engine"):
+                self._shard_dir = tempfile.mkdtemp(prefix="repro-trace-shards-")
+            self._shard_cleanup = weakref.finalize(
+                self, shutil.rmtree, self._shard_dir, ignore_errors=True
+            )
+        return self._shard_dir
 
 
 def _record_handoffs(tracer, context, records, handoffs) -> None:

@@ -9,11 +9,13 @@ trace across the boundary:
    every pooled chunk;
 2. each worker opens a :func:`shard_tracer` writing a private JSONL
    *shard* file (``engine.worker`` / ``cell.evaluate`` spans) whose
-   stack-root spans are parented to the anchor;
+   stack-root spans are parented to the anchor, in a shard directory the
+   engine keeps for its lifetime; the file name starts with the anchor,
+   so maps sharing the directory never read each other's shards;
 3. after the pool drains, the engine calls :func:`stitch_shards` to read
-   every shard, drop orphaned records (a worker killed mid-span leaves
-   children whose parent never closed), and adopt the survivors into the
-   parent trace.
+   and remove its map's shards, drop orphaned records (a worker killed
+   mid-span leaves children whose parent never closed), and adopt the
+   survivors into the parent trace.
 
 :func:`validate_parentage` is the cross-file acceptance check: schema
 validity plus every-trace-has-a-root, run over a fully stitched file.
@@ -50,9 +52,13 @@ class TraceContext:
     parent_id: str | None = None
 
 
-def shard_path(shard_dir: str | Path, chunk: int, attempt: int) -> Path:
-    """Where one (chunk, attempt) evaluation writes its span shard."""
-    name = f"chunk-{chunk:04d}-attempt-{attempt}-pid{os.getpid()}{SHARD_SUFFIX}"
+def shard_path(shard_dir: str | Path, anchor: str, chunk: int, attempt: int) -> Path:
+    """Where one (chunk, attempt) evaluation under ``anchor`` (the map's
+    span id) writes its span shard."""
+    name = (
+        f"{anchor}.chunk-{chunk:04d}-attempt-{attempt}-pid{os.getpid()}"
+        f"{SHARD_SUFFIX}"
+    )
     return Path(shard_dir) / name
 
 
@@ -115,19 +121,22 @@ def read_shard(path: str | Path) -> list[dict]:
 
 
 def stitch_shards(shard_dir: str | Path, anchors: set[str]) -> StitchResult:
-    """Collect every shard under ``shard_dir`` and resolve parentage.
+    """Collect and remove the anchors' shards and resolve parentage.
 
-    A record survives if its parent chain reaches an anchor span id
-    owned by the calling process.  Anything else — spans whose parent
-    never closed because the worker died, shards from an unrelated
-    anchor — is counted as an orphan and dropped, so the merged file
-    still passes :func:`validate_parentage`.
+    Only files named for one of ``anchors`` (see :func:`shard_path`)
+    are read, and each is deleted once read.  A record survives if its
+    parent chain reaches an anchor span id owned by the calling process.
+    Anything else — spans whose parent never closed because the worker
+    died — is counted as an orphan and dropped, so the merged file still
+    passes :func:`validate_parentage`.
     """
     records: list[dict] = []
     shards = 0
-    for path in sorted(Path(shard_dir).glob(f"*{SHARD_SUFFIX}")):
-        records.extend(read_shard(path))
-        shards += 1
+    for anchor in sorted(anchors):
+        for path in sorted(Path(shard_dir).glob(f"{anchor}.*{SHARD_SUFFIX}")):
+            records.extend(read_shard(path))
+            path.unlink()
+            shards += 1
     resolved = set(anchors)
     pending = list(records)
     # Children are written before parents, so resolution is iterative:

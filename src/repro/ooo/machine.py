@@ -24,8 +24,22 @@ smallest time, so it never decreases: a pointer walks forward over the
 per-cycle issue counts select already keeps, and the whole pass is
 O(n + cycles).
 
-The pass reads the trace as Python ints (``InstructionTrace.columns``),
-which each trace converts once however many window sizes replay it.
+The pass is one scalar loop, so its cost is the Python operations it
+does per instruction.  Three choices keep them few:
+
+* one list of completion cycles, ``done``, where producer ``p`` sits
+  at ``done[p + 1]`` and ``done[0] = 0`` stands for "no producer"; the
+  trace's producer columns are stored shifted by one
+  (``InstructionTrace.columns``, Python ints converted once per trace
+  however many window sizes replay it), so wakeup needs no branch;
+* a count of the instructions dispatched in the current dispatch
+  cycle instead of every dispatch time: dispatch times never decrease,
+  so the bandwidth limit binds exactly when that count reaches
+  ``dispatch_width``;
+* the queue bound, re-checked only when its pointer moves: dispatch
+  never falls, so a pointer that stood still cannot bind.
+
+Issue times are recovered at the end as completion minus latency.
 """
 
 from __future__ import annotations
@@ -35,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.workloads.instruction_trace import NO_DEP, InstructionTrace
+from repro.workloads.instruction_trace import InstructionTrace
 
 
 @dataclass(frozen=True)
@@ -106,8 +120,11 @@ class OutOfOrderMachine:
                     latency[i] = memory_system.load_latency_cycles(int(addr))
             resolved = np.array(latency, dtype=np.int64)
 
-        issue_list = [0] * n
-        dispatch_times: list[int] = [0] * n
+        # done[i + 1] is instruction i's completion cycle (issue +
+        # latency); done[0] = 0 stands for NO_DEP, which the shifted
+        # producer columns read as 0.
+        done = [0]
+        complete = done.append
         # issued[c] counts the instructions issued in cycle c.
         issued: list[int] = []
         # kth is the (i - window + 1)-th smallest issue time so far (-1
@@ -117,39 +134,44 @@ class OutOfOrderMachine:
         # never change again.
         kth = -1
         below = 0
-        last_dispatch = 0
+        # dispatch is the current dispatch cycle and dispatched the
+        # number of instructions dispatched in it.  Dispatch times never
+        # decrease, so the bandwidth limit binds exactly when the last
+        # dispatch_width instructions all dispatched in that cycle.
+        dispatch = 0
+        dispatched = 0
 
-        for i in range(n):
+        # behind is i - window for instruction i.
+        stream = zip(range(-window, n - window), dep1, dep2, latency)
+        for behind, p1, p2, lat in stream:
             # -- dispatch: in-order, bandwidth-limited, queue-capacity-limited
-            d = last_dispatch
-            if i >= dispatch_width:
-                earliest_by_bw = dispatch_times[i - dispatch_width] + 1
-                if earliest_by_bw > d:
-                    d = earliest_by_bw
-            while below <= i - window:
+            if dispatched == dispatch_width:
+                dispatch += 1
+                dispatched = 1
+            else:
+                dispatched += 1
+            # The queue bound can only bind after the pointer moves:
+            # dispatch never falls.
+            if below <= behind:
                 kth += 1
                 below += issued[kth]
-            # the slot is reusable the cycle after its occupant issues
-            if kth + 1 > d:
-                d = kth + 1
-            dispatch_times[i] = d
-            last_dispatch = d
+                while below <= behind:
+                    kth += 1
+                    below += issued[kth]
+                # the slot is reusable the cycle after its occupant issues
+                if kth >= dispatch:
+                    dispatch = kth + 1
+                    dispatched = 1
 
             # -- wakeup: ready when all producers have completed
-            ready = d
-            p = dep1[i]
-            if p != NO_DEP:
-                t = issue_list[p] + latency[p]
-                if t > ready:
-                    ready = t
-            p = dep2[i]
-            if p != NO_DEP:
-                t = issue_list[p] + latency[p]
-                if t > ready:
-                    ready = t
+            cycle = done[p1]
+            t = done[p2]
+            if t > cycle:
+                cycle = t
+            if dispatch > cycle:
+                cycle = dispatch
 
             # -- select: oldest-first, issue_width per cycle
-            cycle = ready
             try:
                 while issued[cycle] >= issue_width:
                     cycle += 1
@@ -157,15 +179,14 @@ class OutOfOrderMachine:
             except IndexError:  # later than every cycle issued in so far
                 issued.extend([0] * (cycle + 1))
                 issued[cycle] = 1
-            issue_list[i] = cycle
+            complete(cycle + lat)
 
-        issue = np.array(issue_list, dtype=np.int64)
-        cycles = int((issue + resolved).max()) + 1
+        completion = np.array(done, dtype=np.int64)
         return MachineResult(
             config=self.config,
             n_instructions=n,
-            cycles=cycles,
-            issue_times=issue,
+            cycles=int(completion.max()) + 1,
+            issue_times=completion[1:] - resolved,
         )
 
 

@@ -12,6 +12,10 @@ completion through every failure mode the engine knows how to survive:
   unrecoverable in-place — ``ProcessPoolExecutor`` cannot cancel
   running work — so the pool's processes are terminated and the pool is
   treated exactly like a crashed one;
+* a **passed deadline** (the caller's absolute ``deadline``, which ends
+  any chunk wait that would outlast it) discards the pool the same way
+  but ends the run with :class:`~repro.errors.DeadlineExceededError`:
+  the caller's budget is gone, so nothing is re-run;
 * a dead pool is **replaced**: the next round (or the next run, for a
   :class:`WorkerPool` that outlives runs) starts a fresh one;
 * after ``max_pool_respawns`` pool deaths the executor **degrades to
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.engine.cells import SweepCell
-from repro.errors import FatalError
+from repro.errors import DeadlineExceededError, FatalError
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
 from repro.resilience.faults import FaultPlan, evaluate_chunk_with_faults
@@ -214,6 +218,9 @@ class ResilientExecutor:
     run is pooled, even at ``jobs=1`` or for a single chunk, and the
     pool outlives the run.  Without one, ``jobs=1`` and single-chunk
     runs evaluate inline and others start a private pool for the run.
+    ``deadline`` is an absolute :func:`time.monotonic` time that bounds
+    every pooled chunk wait; the inline path cannot be interrupted and
+    ignores it.
     """
 
     def __init__(
@@ -226,9 +233,11 @@ class ResilientExecutor:
         trace_ctx: TraceContext | None = None,
         shard_dir: str | None = None,
         pool: WorkerPool | None = None,
+        deadline: float | None = None,
     ) -> None:
         self.jobs = jobs
         self.pool = pool
+        self.deadline = deadline
         self.policy = policy if policy is not None else RetryPolicy()
         self.fault_plan = fault_plan
         self.span = span
@@ -329,10 +338,18 @@ class ResilientExecutor:
                             shard_dir=self.shard_dir,
                         )
                     for i in order:
+                        timeout, by_deadline = self._wait_s()
                         try:
-                            pairs = futures[i].result(timeout=self.policy.timeout_s)
+                            pairs = futures[i].result(timeout=timeout)
                         except FuturesTimeoutError:
-                            self._note_timeout(i, attempts[i])
+                            assert timeout is not None  # only a bounded wait
+                            self._note_timeout(i, attempts[i], timeout)
+                            if by_deadline:
+                                kill = True
+                                raise DeadlineExceededError(
+                                    f"chunk {i} unfinished when the map's "
+                                    "deadline passed"
+                                ) from None
                             died = True
                             break
                         except BrokenProcessPool:
@@ -378,6 +395,17 @@ class ResilientExecutor:
             if kill:
                 workers.discard(pool)
         return died
+
+    def _wait_s(self) -> tuple[float | None, bool]:
+        """How long the next chunk wait may last, and whether the
+        deadline (rather than the policy's ``timeout_s``) sets it."""
+        timeout = self.policy.timeout_s
+        if self.deadline is None:
+            return timeout, False
+        left = max(self.deadline - time.monotonic(), 0.0)
+        if timeout is None or left < timeout:
+            return left, True
+        return timeout, False
 
     def _reap_after_death(
         self, order, futures, pending, attempts, results, on_chunk_done
@@ -454,7 +482,7 @@ class ResilientExecutor:
             chunk, exc, attempt, self.policy.max_attempts - 1,
         )
 
-    def _note_timeout(self, chunk: int, attempt: int) -> None:
+    def _note_timeout(self, chunk: int, attempt: int, timeout_s: float) -> None:
         self.report.timeouts += 1
         metrics().counter(
             "repro_engine_chunk_timeouts_total",
@@ -462,11 +490,11 @@ class ResilientExecutor:
         ).inc()
         self._event(
             "engine.chunk_timeout",
-            chunk=chunk, attempt=attempt, timeout_s=self.policy.timeout_s,
+            chunk=chunk, attempt=attempt, timeout_s=timeout_s,
         )
         _LOG.warning(
             "chunk %d: no result within %.3gs; killing the worker pool",
-            chunk, self.policy.timeout_s,
+            chunk, timeout_s,
         )
 
     def _note_lost(self, chunk: int, attempt: int) -> None:

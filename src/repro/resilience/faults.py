@@ -168,7 +168,7 @@ def evaluate_chunk_with_faults(
     a reference to it.  With ``plan=None`` this is exactly
     :func:`~repro.engine.cells.evaluate_chunk`.  ``trace``/``shard_dir``
     carry the parent's :class:`~repro.obs.stitch.TraceContext` into
-    pooled workers, which then write their spans to a per-(chunk,
+    pooled workers, which then write their spans to a per-(map, chunk,
     attempt) shard file for the engine to stitch; serial execution
     leaves them unset because the in-process tracer is already visible.
     """
@@ -177,12 +177,13 @@ def evaluate_chunk_with_faults(
     if trace is not None and shard_dir is not None and not serial:
         from repro.obs.stitch import shard_path
 
+        assert trace.parent_id is not None  # the engine anchors every map
         return evaluate_chunk(
             cells,
             chunk=chunk,
             attempt=attempt,
             trace=trace,
-            shard_path=str(shard_path(shard_dir, chunk, attempt)),
+            shard_path=str(shard_path(shard_dir, trace.parent_id, chunk, attempt)),
         )
     return evaluate_chunk(cells, chunk=chunk, attempt=attempt)
 

@@ -40,13 +40,16 @@ Crash-safety and overload-safety wrap this ladder (see
 * an ``Idempotency-Key`` maps retried POSTs (e.g. after a crash or a
   lost response) back to the original job instead of a duplicate;
 * every job may carry an end-to-end deadline: a batch never runs a job
-  whose deadline already passed (fail fast as 504) and the minimum
-  remaining budget is pushed into the engine's per-chunk timeout;
+  whose deadline already passed (fail fast as 504), and the engine
+  waits on no chunk past the batch's tightest deadline.  When that
+  passes mid-batch, its jobs answer 504 and the batch's other flights
+  go back to the front of the queue;
 * a :class:`~repro.service.breaker.CircuitBreaker` around the engine
   call sheds submissions with ``503`` + ``Retry-After`` while the
   engine is failing batches back to back (warm hits are still served).
 
-The broker re-runs nothing itself.  Any error out of ``engine.map``
+The broker re-runs nothing itself, except flights whose batch ended on
+another job's deadline.  Any other error out of ``engine.map``
 counts against the breaker and fails the batch's jobs; the engine's
 :class:`~repro.resilience.RetryPolicy` and executors have already
 retried what a retry can fix, and a shed caller retries after
@@ -68,7 +71,12 @@ from repro.api.types import OptimizationRequest
 from repro.engine.cache import CellKeyer
 from repro.engine.cells import SweepCell
 from repro.engine.engine import ExperimentEngine
-from repro.errors import ApiError, QuotaExceededError, ServiceError
+from repro.errors import (
+    ApiError,
+    DeadlineExceededError,
+    QuotaExceededError,
+    ServiceError,
+)
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
 from repro.obs.stitch import TraceContext
@@ -440,20 +448,7 @@ class SweepBroker:
         # Deadline fail-fast: never spend engine time on a job whose
         # end-to-end budget already expired while it queued.
         now = time.monotonic()
-        live: list[_Flight] = []
-        for flight in batch:
-            keep: list[Job] = []
-            for job in flight.jobs:
-                if job.expired(now):
-                    self._fail_deadline(job)
-                else:
-                    keep.append(job)
-            flight.jobs = keep
-            if keep:
-                live.append(flight)
-            else:
-                self._flights.pop(flight.key, None)
-        batch = live
+        batch = self._drop_expired(batch, now)
         if not batch:
             return
         cells = [flight.cell for flight in batch]
@@ -463,8 +458,8 @@ class SweepBroker:
             "repro_service_queue_wait_seconds",
             "submit-to-batch-start queue wait per job",
         )
-        # The tightest surviving deadline bounds the whole batch: it is
-        # pushed into the engine as a per-chunk timeout clamp.
+        # The tightest surviving deadline bounds the whole batch: the
+        # engine waits on no chunk past it.
         deadline_s: float | None = None
         # (job, pre-allocated broker.batch span id) per job whose
         # request carries a trace.  Queue wait and batch are recorded
@@ -513,7 +508,7 @@ class SweepBroker:
             # ``deadline_s`` is passed only when a job set one, so any
             # duck-typed engine exposing plain ``map(cells)`` still works.
             if deadline_s is not None:
-                return self.engine.map(cells, deadline_s=max(deadline_s, 0.001))
+                return self.engine.map(cells, deadline_s=deadline_s)
             return self.engine.map(cells)
 
         # When the executor thread started and finished the engine call.
@@ -541,18 +536,44 @@ class SweepBroker:
             # jobs as a failed state, never escape into the batch task.
             error = exc
         elapsed = time.perf_counter() - start
-        if error is not None:
+        if error is None:
+            self._deliver(batch, payloads, misses_before, elapsed)
+        elif isinstance(error, DeadlineExceededError):
+            # The batch's tightest deadline passed, which says nothing
+            # about the engine's health: no breaker failure.  Its jobs
+            # answer 504; flights with budget left run next.
+            self._pending[:0] = self._drop_expired(batch, time.monotonic())
+        else:
             self.breaker.record_failure()
             for flight in batch:
                 self._flights.pop(flight.key, None)
                 for job in flight.jobs:
                     self._fail(job, f"{type(error).__name__}: {error}")
-        else:
-            self._deliver(batch, payloads, misses_before, elapsed)
         if tracer.enabled:
             self._record_batch(
                 tracer, traced, batch_ts, on_thread, len(cells), n_jobs, error
             )
+
+    def _drop_expired(self, batch: list[_Flight], now: float) -> list[_Flight]:
+        """Answer 504 to every job whose deadline passed by ``now``.
+
+        Returns the flights that still have a job waiting; the others
+        leave the single-flight table.
+        """
+        live: list[_Flight] = []
+        for flight in batch:
+            keep: list[Job] = []
+            for job in flight.jobs:
+                if job.expired(now):
+                    self._fail_deadline(job)
+                else:
+                    keep.append(job)
+            flight.jobs = keep
+            if keep:
+                live.append(flight)
+            else:
+                self._flights.pop(flight.key, None)
+        return live
 
     def _deliver(
         self,

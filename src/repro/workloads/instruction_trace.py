@@ -77,14 +77,17 @@ class InstructionTrace:
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """``(dep1, dep2, latency)`` as tuples of Python ints.
+        """``(dep1 + 1, dep2 + 1, latency)`` as tuples of Python ints.
 
-        Converted once per trace: the scheduler indexes them once per
-        instruction, and a queue sweep replays the trace at every size.
+        The producer columns are shifted by one, so :data:`NO_DEP` reads
+        as 0: the scheduler keeps completion times in a list whose slot
+        ``p + 1`` is producer ``p``'s and whose slot 0 is always 0.
+        Converted once per trace: a queue sweep replays the trace at
+        every size.
         """
         return (
-            tuple(self.dep1.tolist()),
-            tuple(self.dep2.tolist()),
+            tuple((self.dep1 + 1).tolist()),
+            tuple((self.dep2 + 1).tolist()),
             tuple(self.latency.tolist()),
         )
 

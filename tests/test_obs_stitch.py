@@ -16,7 +16,9 @@ The distributed-tracing acceptance story:
 """
 
 import json
+import os
 import pickle
+import tempfile
 
 import pytest
 
@@ -57,7 +59,7 @@ class TestShards:
 
     def test_shard_tracer_joins_parent_trace(self, tmp_path):
         context = TraceContext(trace_id="abc123", parent_id="anchor")
-        path = shard_path(tmp_path, chunk=0, attempt=0)
+        path = shard_path(tmp_path, "anchor", chunk=0, attempt=0)
         with shard_tracer(context, path) as tracer:
             with tracer.span("engine.worker", level="engine"):
                 pass
@@ -70,7 +72,7 @@ class TestShards:
         context = TraceContext(trace_id="abc123", parent_id="anchor")
         ids = set()
         for chunk in range(2):
-            path = shard_path(tmp_path, chunk=chunk, attempt=0)
+            path = shard_path(tmp_path, "anchor", chunk=chunk, attempt=0)
             with shard_tracer(context, path) as tracer:
                 with tracer.span("engine.worker", level="engine"):
                     pass
@@ -87,7 +89,7 @@ class TestShards:
         context = TraceContext(trace_id="abc123", parent_id="anchor")
         for chunk in range(2):
             with shard_tracer(
-                context, shard_path(tmp_path, chunk=chunk, attempt=0)
+                context, shard_path(tmp_path, "anchor", chunk=chunk, attempt=0)
             ) as tracer:
                 with tracer.span("engine.worker", level="engine", chunk=chunk):
                     with tracer.span("cell.evaluate", level="engine"):
@@ -99,10 +101,25 @@ class TestShards:
         roots = [r for r in result.records if r["parent"] == "anchor"]
         assert [r["name"] for r in roots] == ["engine.worker", "engine.worker"]
 
+    def test_stitch_takes_only_its_own_shards(self, tmp_path):
+        # Maps of one engine share a shard directory: each stitches and
+        # removes only the shards named for its own span.
+        for anchor in ("s000001", "s000002"):
+            with shard_tracer(
+                TraceContext(trace_id="abc123", parent_id=anchor),
+                shard_path(tmp_path, anchor, chunk=0, attempt=0),
+            ) as tracer:
+                with tracer.span("engine.worker", level="engine"):
+                    pass
+        result = stitch_shards(tmp_path, anchors={"s000001"})
+        assert result.shards == 1
+        assert [r["parent"] for r in result.records] == ["s000001"]
+        assert [p.name.split(".")[0] for p in tmp_path.iterdir()] == ["s000002"]
+
     def test_stitch_drops_orphans_from_dead_worker(self, tmp_path):
         context = TraceContext(trace_id="abc123", parent_id="anchor")
         with shard_tracer(
-            context, shard_path(tmp_path, chunk=0, attempt=0)
+            context, shard_path(tmp_path, "anchor", chunk=0, attempt=0)
         ) as tracer:
             with tracer.span("engine.worker", level="engine"):
                 pass
@@ -114,7 +131,7 @@ class TestShards:
             "trace_id": "abc123", "id": "wdead-000002",
             "parent": "wdead-000001", "ts": 1.0, "dur_s": 0.1, "attrs": {},
         }
-        path = tmp_path / f"dead{SHARD_SUFFIX}"
+        path = tmp_path / f"anchor.dead{SHARD_SUFFIX}"
         path.write_text(json.dumps(orphan) + "\n", encoding="utf-8")
         result = stitch_shards(tmp_path, anchors={"anchor"})
         assert result.orphans == 1
@@ -125,7 +142,7 @@ class TestShards:
             with tracer.span("engine.map", level="engine") as anchor:
                 context = TraceContext(tracer.trace_id, anchor.id)
                 with shard_tracer(
-                    context, shard_path(tmp_path, chunk=0, attempt=0)
+                    context, shard_path(tmp_path, anchor.id, chunk=0, attempt=0)
                 ) as worker:
                     with worker.span("engine.worker", level="engine"):
                         pass
@@ -212,6 +229,30 @@ class TestEngineStitching:
             assert send["ts"] + send["dur_s"] == pytest.approx(worker["ts"])
             assert ret["ts"] == pytest.approx(worker["ts"] + worker["dur_s"])
             assert "engine.stitch" in kids
+
+    def test_one_shard_directory_per_engine(self, monkeypatch):
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def counting_mkdtemp(*args, **kwargs):
+            path = mkdtemp(*args, **kwargs)
+            if str(kwargs.get("prefix", "")).startswith("repro-trace-shards"):
+                made.append(path)
+            return path
+
+        monkeypatch.setattr(tempfile, "mkdtemp", counting_mkdtemp)
+        with Tracer() as tracer:
+            with ExperimentEngine(pooled=True) as engine:
+                for _ in range(20):
+                    engine.map(_small_cells(1))
+                assert len(made) == 1
+                assert os.listdir(made[0]) == []  # each map took its shards
+        assert not os.path.exists(made[0])
+        maps = [
+            r for r in tracer.records
+            if r["record"] == "span" and r["name"] == "engine.map"
+        ]
+        assert [m["attrs"]["worker_shards"] for m in maps] == [1] * 20
 
     def test_serial_run_traces_workers_inline(self):
         cells = _small_cells(2)
@@ -343,7 +384,7 @@ class TestMultiTraceSummarize:
                 for chunk in range(2):
                     with shard_tracer(
                         TraceContext("stitched0001", anchor.id),
-                        shard_path(tmp_path, chunk=chunk, attempt=0),
+                        shard_path(tmp_path, anchor.id, chunk=chunk, attempt=0),
                     ) as worker:
                         with worker.span("engine.worker", level="engine"):
                             pass

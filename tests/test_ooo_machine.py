@@ -1,12 +1,14 @@
 """Tests for the out-of-order machine: hand-checked schedules,
-equivalence with the two-heap scheduler it replaced, and equivalence
-with a cycle-by-cycle model of the queue."""
+equivalence with the two-heap scheduler it replaced (with and without a
+memory system), and equivalence with a cycle-by-cycle model of the
+queue."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.hierarchy import AccessLevel
+from repro.cache.timing import CacheTimingModel
 from repro.errors import SimulationError
 from repro.ooo.machine import MachineConfig, OutOfOrderMachine, run_window_sweep
 from repro.ooo.memory import CacheMemorySystem
@@ -255,6 +257,52 @@ class TestEquivalenceWithHeapOracle:
             slow = heap_schedule(config, trace)
             assert np.array_equal(fast.issue_times, slow.issue_times), window
             assert fast.cycles == slow.cycles, window
+
+
+@st.composite
+def _load_traces(draw):
+    """Random dependence traces whose loads carry addresses: a drawn
+    share of the ops are loads over a footprint of 2**4 to 2**16 blocks
+    of 32 bytes, from all L1 hits to mostly misses."""
+    trace = draw(_dependence_traces())
+    n = len(trace)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    is_load = rng.random(n) < draw(st.floats(0.0, 1.0))
+    blocks = rng.integers(0, 1 << draw(st.integers(4, 16)), n)
+    return InstructionTrace(
+        dep1=trace.dep1,
+        dep2=trace.dep2,
+        latency=trace.latency,
+        load_address=np.where(is_load, blocks * 32, NO_DEP),
+    )
+
+
+class TestMemorySystemEquivalence:
+    """With a memory system, every load's latency comes from the cache
+    hierarchy, and the scheduler must still issue every instruction in
+    the same cycle as the two-heap scheduler given the same hierarchy."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        trace=_load_traces(),
+        window=st.one_of(st.integers(1, 16), st.integers(1, 160)),
+        issue_width=st.integers(1, 8),
+        dispatch_width=st.integers(1, 8),
+        l1_increments=st.integers(1, CacheTimingModel().geometry.n_increments - 1),
+    )
+    def test_random_load_traces(
+        self, trace, window, issue_width, dispatch_width, l1_increments
+    ):
+        config = MachineConfig(
+            window=window, issue_width=issue_width, dispatch_width=dispatch_width
+        )
+        fast = OutOfOrderMachine(config).run(
+            trace, memory_system=CacheMemorySystem(l1_increments)
+        )
+        slow = heap_schedule(config, trace, CacheMemorySystem(l1_increments))
+        assert fast.issue_times.dtype == slow.issue_times.dtype
+        assert np.array_equal(fast.issue_times, slow.issue_times)
+        assert fast.cycles == slow.cycles
 
 
 class TestEquivalenceWithCycleModel:

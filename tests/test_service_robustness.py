@@ -40,6 +40,7 @@ from repro.errors import (
     ServiceOverloadedError,
     TransientError,
 )
+from repro.obs.metrics import metrics
 from repro.resilience import RetryPolicy
 from repro.service import (
     BreakerPolicy,
@@ -373,6 +374,45 @@ class TestDeadlines:
             client = ServiceClient(thread.url)
             status = client.submit(tiny_request(deadline_s=60.0), wait=True)
             assert status.state.value == "done"
+
+    def test_deadline_passing_in_the_pool_ends_the_map(self):
+        # A cold iqueue cell sized to run well past its 0.3 s budget:
+        # the engine stops waiting when the deadline passes and drops
+        # the pool, with no respawn, re-run or serial fallback.  A job
+        # sharing the batch without a deadline is re-queued and served.
+        names = (
+            "repro_engine_chunk_timeouts_total",
+            "repro_engine_pool_respawns_total",
+            "repro_engine_serial_fallbacks_total",
+        )
+
+        def counts():
+            return [metrics().counter(name).value() for name in names]
+
+        engine = ExperimentEngine(pooled=True)
+        # The window puts both jobs in one batch.
+        config = ServiceConfig(batch_window_s=0.1)
+        with ServiceThread(engine, config) as thread:
+            client = ServiceClient(thread.url)
+            client.submit(tiny_request(), wait=True)  # boots the pool
+            pool = engine._pool._executor
+            before = counts()
+            patient = client.submit(tiny_request(workload="li"), wait=False)
+            late = OptimizationRequest(
+                "iqueue", "swim", n_instructions=400_000, deadline_s=0.3
+            )
+            start = time.monotonic()
+            with pytest.raises(DeadlineExceededError):
+                client.submit(late, wait=True)
+            assert time.monotonic() - start < 1.0
+            patient = client.wait(patient.job_id, 60)
+            assert patient.state.value == "done"
+            assert patient.attempts == 2  # in the late job's batch, then alone
+            assert [a - b for a, b in zip(counts(), before)] == [1, 0, 0]
+            assert thread.service.broker.breaker.state == "closed"
+            status = client.submit(tiny_request(workload="ijpeg"), wait=True)
+            assert status.state.value == "done"
+            assert engine._pool._executor not in (None, pool)
 
 
 # ---------------------------------------------------------------------------
