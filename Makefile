@@ -60,18 +60,18 @@ service-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/service_smoke.py
 
 # Boot a traced `repro serve`, run a small fixed-seed `repro loadtest`
-# against it, assert the SLOs pass and a run record lands in the
-# benchmark trajectory file, then validate the stitched distributed
-# trace end to end.  Mirrors the CI loadtest job.
+# against it, assert the SLOs pass, then validate the stitched
+# distributed trace end to end.  Mirrors the CI loadtest job.
 loadtest-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/loadtest_smoke.py
 
-# Run the deterministic chaos drill (`repro chaos`): SIGKILL a
-# journaled server mid-batch and assert every acked job recovers,
-# trip/shed/recover the circuit breaker, replay a corrupted journal.
-# Mirrors the CI chaos job.
+# The service's robustness tests, drills included: SIGKILL a journaled
+# `repro serve` mid-batch and assert every acked job recovers, trip,
+# shed and close the circuit breaker, replay a corrupted journal, and
+# SIGKILL a lease-holding `repro worker` mid-batch.  Mirrors the CI
+# chaos job.
 chaos-smoke:
-	PYTHONPATH=src $(PYTHON) scripts/chaos_smoke.py
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_service_robustness.py
 
 # Boot `repro serve --workers` plus two real `repro worker` processes,
 # drive a fixed-seed loadtest at the service, SIGKILL one worker while

@@ -28,7 +28,7 @@ WARM_BUDGET_S = 5.0
 MIN_SPEEDUP = 3.0
 
 
-def _append_bench(record: dict) -> None:
+def _append_lint_record(record: dict) -> None:
     history = []
     if BENCH_PATH.exists():
         try:
@@ -68,7 +68,7 @@ def test_bench_warm_lint_within_budget(benchmark, tmp_path):
         f"({result.files_checked} files, "
         f"{len(result.rule_ids)} rules, {result.cache_hits} cache hits)"
     )
-    _append_bench(
+    _append_lint_record(
         {
             "label": "lint-src",
             "ts": time.time(),

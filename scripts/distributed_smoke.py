@@ -9,15 +9,11 @@ Asserts:
 * both workers register (observed via ``GET /v1/workers``),
 * the kill lands while the loadtest is still running,
 * the loadtest exits 0 with every SLO met despite the mid-run kill,
-* a ``distributed-seed``-labelled run record landed in the benchmark
-  trajectory file,
 * the service actually dispatched chunks remotely
   (``repro_dispatch_remote_chunks_total`` > 0 on ``/metrics``),
 * the killed worker's lease failed over
   (``repro_dispatch_failovers_total`` >= 1 on ``/metrics``),
 * SIGTERM drains the server to a clean exit 0.
-
-The scratch directory is removed after a pass and kept on a failure.
 
 Usage: ``PYTHONPATH=src python scripts/distributed_smoke.py``
 """
@@ -28,14 +24,11 @@ import json
 import os
 import re
 import selectors
-import shutil
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 import urllib.request
-from pathlib import Path
 
 DEADLINE_S = 240.0
 READY_PATTERN = re.compile(r"serving on (http://[\w.\-]+:\d+)")
@@ -86,8 +79,6 @@ def metric(metrics_text: str, name: str) -> float:
 
 def main() -> None:
     deadline = time.monotonic() + DEADLINE_S
-    tmp = Path(tempfile.mkdtemp(prefix="repro-distributed-smoke-"))
-    bench_path = tmp / "BENCH_service.json"
 
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
@@ -140,7 +131,6 @@ def main() -> None:
             "--tenants", "2", "--requests", str(REQUESTS_PER_TENANT),
             "--seed", "0",
             "--warm-fraction", "0.25",
-            "--label", "distributed-seed", "--bench", str(bench_path),
         ],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
@@ -167,14 +157,6 @@ def main() -> None:
     if loadtest.returncode != 0:
         fail(procs, f"loadtest exited {loadtest.returncode} after the kill")
 
-    if not bench_path.exists():
-        fail(procs, f"no run record written to {bench_path}")
-    record = json.loads(bench_path.read_text(encoding="utf-8"))[-1]
-    if record.get("label") != "distributed-seed":
-        fail(procs, f"run record mislabelled: {record.get('label')!r}")
-    if not record["passed"]:
-        fail(procs, f"run record marked failed: {record['violations']}")
-
     with urllib.request.urlopen(f"{url}/metrics", timeout=10) as response:
         metrics_text = response.read().decode("utf-8")
     remote_chunks = metric(metrics_text, "repro_dispatch_remote_chunks_total")
@@ -198,7 +180,6 @@ def main() -> None:
         if worker.poll() is None:
             worker.terminate()
             worker.wait(timeout=10)
-    shutil.rmtree(tmp, ignore_errors=True)
     print("distributed smoke PASSED")
 
 

@@ -5,12 +5,11 @@ Boots ``repro serve`` on an ephemeral port as a real subprocess (with
 fixed-seed ``repro loadtest`` against it, and asserts:
 
 * the loadtest exits 0 with every SLO met,
-* a run record landed in the benchmark trajectory file,
 * after a clean shutdown the server's trace validates end to end and
-  the probe request's trace id names one stitched span tree covering
-  HTTP request -> queue wait -> batch -> engine map -> worker cell
-  evaluation, with >= 95% of its wall time attributed by
-  ``repro obs critical-path``.
+  the probe request's trace id, read from the printed report, names
+  one stitched span tree covering HTTP request -> queue wait -> batch
+  -> engine map -> worker cell evaluation, with >= 95% of its wall
+  time attributed by ``repro obs critical-path``.
 
 The scratch directory is removed after a pass and kept on a failure.
 
@@ -19,7 +18,8 @@ Usage: ``PYTHONPATH=src python scripts/loadtest_smoke.py``
 
 from __future__ import annotations
 
-import json
+import contextlib
+import io
 import os
 import re
 import selectors
@@ -65,7 +65,6 @@ def main() -> None:
     deadline = time.monotonic() + DEADLINE_S
     tmp = Path(tempfile.mkdtemp(prefix="repro-loadtest-smoke-"))
     trace_path = tmp / "serve-trace.jsonl"
-    bench_path = tmp / "BENCH_service.json"
 
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
@@ -85,30 +84,19 @@ def main() -> None:
 
     from repro.cli import main as repro_main
 
-    rc = repro_main([
-        "loadtest", "--url", url, "--tenants", "2", "--requests", "3",
-        "--seed", "0", "--bench", str(bench_path),
-    ])
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        rc = repro_main([
+            "loadtest", "--url", url, "--tenants", "2", "--requests", "3",
+            "--seed", "0",
+        ])
+    print(report.getvalue(), end="")
     if rc != 0:
         fail(proc, f"repro loadtest exited {rc} (SLO violation or error)")
-
-    if not bench_path.exists():
-        fail(proc, f"no run record written to {bench_path}")
-    history = json.loads(bench_path.read_text(encoding="utf-8"))
-    record = history[-1]
-    if not record["passed"]:
-        fail(proc, f"run record marked failed: {record['violations']}")
-    for key in ("p50_s", "p95_s", "p99_s", "error_rate", "throttle_rate"):
-        if key not in record:
-            fail(proc, f"run record missing {key!r}")
-    probe = record["probe_trace_id"]
-    if not probe:
+    match = re.search(r"probe trace id: (\S+)", report.getvalue())
+    if match is None:
         fail(proc, "probe request did not yield a trace id")
-    print(
-        f"loadtest ok: {record['ok']}/{record['n_requests']} requests, "
-        f"p50 {record['p50_s']:.3f}s p95 {record['p95_s']:.3f}s, "
-        f"probe trace {probe}"
-    )
+    probe = match.group(1)
 
     # SIGINT lands in run_service's KeyboardInterrupt handler, so the
     # tracer's ExitStack closes and the span file is fully flushed.

@@ -22,7 +22,7 @@ Layout:
     per-path allowlists).
 ``runner``
     File walking, the per-file and whole-project passes, the on-disk
-    analysis cache, human/JSON/SARIF rendering and the ``repro lint``
+    analysis cache, human/JSON rendering and the ``repro lint``
     entry point with stable exit codes (:data:`EXIT_CLEAN` /
     :data:`EXIT_FINDINGS` / :data:`EXIT_ERROR`).
 ``project``
@@ -33,8 +33,6 @@ Layout:
     attribution, typed locals) and async reachability.
 ``cache``
     Content-hash-keyed on-disk cache for summaries and findings.
-``sarif``
-    SARIF 2.1.0 rendering for CI annotation.
 ``rules``
     The domain rules, RPR001..RPR012 (see ``docs/static-analysis.md``
     for the catalog).
@@ -58,7 +56,6 @@ from repro.analysis.runner import (
     render_human,
     render_json,
 )
-from repro.analysis.sarif import render_sarif
 
 # Importing the rules package registers every built-in rule.
 from repro.analysis import rules as _rules  # noqa: F401  (import side effect)
@@ -85,7 +82,6 @@ __all__ = [
     "register",
     "render_human",
     "render_json",
-    "render_sarif",
     "rule_ids",
     "summarize",
 ]

@@ -44,7 +44,6 @@ from repro.analysis.config import LintConfig, find_pyproject, load_config
 from repro.analysis.core import FileContext, Finding, ProjectRule, Rule
 from repro.analysis.project import ModuleSummary, ProjectContext, summarize, summary_from_json
 from repro.analysis.registry import all_rules, get_rule
-from repro.analysis.sarif import render_sarif
 from repro.analysis.suppress import is_suppressed
 from repro.errors import AnalysisError
 
@@ -482,8 +481,6 @@ def main(
         return EXIT_ERROR
     if output_format == "json":
         print(render_json(result), file=out)
-    elif output_format == "sarif":
-        print(render_sarif(result), file=out)
     else:
         print(render_human(result), file=out)
     return result.exit_code()

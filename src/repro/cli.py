@@ -593,7 +593,7 @@ def _worker(args) -> int:
     )
 
     def on_ready(server) -> None:
-        # The chaos drill and smoke script parse this line for the port.
+        # Tests and the smoke scripts parse this line for the port.
         print(
             f"worker serving on http://{config.host}:{server.port}",
             flush=True,
@@ -609,12 +609,7 @@ def _loadtest(args) -> int:
 
     from repro.errors import ReproError
     from repro.obs.trace import Tracer
-    from repro.service.loadtest import (
-        SloPolicy,
-        append_bench,
-        format_report,
-        run_loadtest,
-    )
+    from repro.service.loadtest import SloPolicy, format_report, run_loadtest
     from repro.service.server import ServiceConfig, ServiceThread
 
     slo = SloPolicy(
@@ -647,9 +642,6 @@ def _loadtest(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(format_report(report))
-    if args.bench:
-        append_bench(args.bench, report, label=args.label)
-        print(f"appended run record to {args.bench}")
     return 0 if report.passed else 1
 
 
@@ -892,25 +884,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--slots", type=int, default=1, metavar="N",
         help="concurrent chunk leases this worker accepts (default: 1)",
     )
-    chaosp = sub.add_parser(
-        "chaos",
-        help="run the deterministic chaos drill: SIGKILL/recovery, "
-             "breaker open/close, journal corruption — exits 0 only if "
-             "every invariant holds",
-    )
-    chaosp.add_argument(
-        "--seed", type=int, default=0,
-        help="fault-plan seed; same seed, same drill (default: 0)",
-    )
-    chaosp.add_argument(
-        "--workdir", default=None, metavar="DIR",
-        help="directory for journals/cache scratch (default: a fresh "
-             "temporary directory, kept for post-mortems)",
-    )
     loadp = sub.add_parser(
         "loadtest",
         help="drive a deterministic multi-tenant load mix at a sweep "
-             "service, judge latency SLOs, append to BENCH_service.json",
+             "service and judge its latency SLOs",
         parents=[service_opts],
     )
     loadp.add_argument(
@@ -934,15 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--warm-fraction", type=float, default=0.5, metavar="F",
         help="fraction of requests repeating the shared warm cell "
              "(default: 0.5)",
-    )
-    loadp.add_argument(
-        "--bench", default="BENCH_service.json", metavar="PATH",
-        help="benchmark trajectory file to append the run record to; "
-             "empty string disables (default: BENCH_service.json)",
-    )
-    loadp.add_argument(
-        "--label", default="loadtest",
-        help="label stored on the run record (default: loadtest)",
     )
     slo_group = loadp.add_argument_group("SLO thresholds")
     slo_group.add_argument(
@@ -1003,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     lintp.add_argument(
-        "--format", dest="output_format", choices=("human", "json", "sarif"),
+        "--format", dest="output_format", choices=("human", "json"),
         default="human", help="output format (default: human)",
     )
     lintp.add_argument(
@@ -1088,12 +1056,6 @@ def _dispatch(args) -> int:
         return _worker(args)
     elif args.command == "loadtest":
         return _loadtest(args)
-    elif args.command == "chaos":
-        from repro.service.chaos import format_report, run_chaos
-
-        report = run_chaos(seed=args.seed, workdir=args.workdir)
-        print(format_report(report))
-        return 0 if report.passed else 1
     elif args.command == "query":
         if args.url:
             return _query(args, None)

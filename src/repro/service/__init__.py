@@ -23,9 +23,7 @@ experiment engine.  The layers, transport-independent first:
   ``GET /healthz``) plus hosting helpers;
 * :mod:`repro.service.client` — a typed stdlib client;
 * :mod:`repro.service.loadtest` — the load/SLO harness behind
-  ``repro loadtest`` and the benchmark trajectory file;
-* :mod:`repro.service.chaos` — the deterministic chaos drill behind
-  ``repro chaos`` (SIGKILL recovery, breaker, journal corruption).
+  ``repro loadtest``.
 
 Boot one with ``repro serve`` or, in process::
 
@@ -38,7 +36,6 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "BreakerPolicy",
-    "ChaosReport",
     "CircuitBreaker",
     "Job",
     "JobJournal",
@@ -54,8 +51,6 @@ __all__ = [
     "SweepService",
     "TenantQuotas",
     "WarmResultStore",
-    "append_bench",
-    "run_chaos",
     "run_loadtest",
     "run_service",
 ]
@@ -63,13 +58,10 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.service.breaker": ("BreakerPolicy", "CircuitBreaker"),
     "repro.service.broker": ("SweepBroker",),
-    "repro.service.chaos": ("ChaosReport", "run_chaos"),
     "repro.service.client": ("ServiceClient",),
     "repro.service.jobs": ("Job", "JobStore"),
     "repro.service.journal": ("JobJournal", "JournalReplay"),
-    "repro.service.loadtest": (
-        "LoadReport", "SloPolicy", "append_bench", "run_loadtest",
-    ),
+    "repro.service.loadtest": ("LoadReport", "SloPolicy", "run_loadtest"),
     "repro.service.quotas": ("QuotaPolicy", "TenantQuotas"),
     "repro.service.server": (
         "ServiceConfig", "ServiceThread", "SweepService", "run_service",

@@ -214,7 +214,7 @@ class SweepBroker:
             self._journal_pool = None
             # Drain the journal thread so every record queued above
             # (including the shutdown failures) is on disk before close
-            # returns — the chaos drill's replay contract depends on it.
+            # returns, so a restart resurrects none of those jobs.
             # shutdown(wait=True) joins the thread, so it runs off-loop.
             await asyncio.get_running_loop().run_in_executor(
                 None, functools.partial(pool.shutdown, True)

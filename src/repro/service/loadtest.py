@@ -14,13 +14,12 @@ deterministic multi-tenant traffic mix:
   so backpressure shows up in the report instead of crashing it.
 
 The run is summarised as a :class:`LoadReport` — p50/p95/p99 latency,
-error and throttle rates — judged against an :class:`SloPolicy`, and
-appended to the service's benchmark trajectory file
-(``BENCH_service.json``, a JSON array of run records) so regressions
-are visible across commits.  A final cold *probe* request pins a known
-trace id (:attr:`LoadReport.probe_trace_id`); run the service under
-``--trace`` and that id names one stitched span tree covering
-HTTP request → queue wait → batch → engine map → worker evaluation.
+error and throttle rates — judged against an :class:`SloPolicy`; the
+verdict is the command's exit code.  A final cold *probe* request pins
+a known trace id (:attr:`LoadReport.probe_trace_id`, printed in the
+report); run the service under ``--trace`` and that id names one
+stitched span tree covering HTTP request → queue wait → batch → engine
+map → worker evaluation.
 
 Determinism: the traffic mix derives from SHA-256 of
 ``(seed, tenant, index)`` — no global RNG state, same seed same mix.
@@ -29,13 +28,10 @@ Determinism: the traffic mix derives from SHA-256 of
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any
 
 from repro.api.types import JobState, OptimizationRequest
 from repro.errors import QuotaExceededError, ReproError, ServiceError
@@ -78,8 +74,7 @@ class SloPolicy:
     """Latency and error-budget thresholds a load run is judged against.
 
     Defaults are deliberately loose — CI machines are slow and shared;
-    the point of the trajectory file is the *numbers*, the point of the
-    thresholds is catching order-of-magnitude regressions.
+    the thresholds catch order-of-magnitude regressions.
     """
 
     p50_s: float = 2.0
@@ -89,15 +84,6 @@ class SloPolicy:
     max_error_rate: float = 0.0
     #: Fraction of requests allowed to see at least one 429.
     max_throttle_rate: float = 0.9
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-            "max_error_rate": self.max_error_rate,
-            "max_throttle_rate": self.max_throttle_rate,
-        }
 
 
 @dataclass
@@ -176,39 +162,6 @@ class LoadReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_record(self, label: str = "loadtest") -> dict[str, Any]:
-        """The JSON run record appended to ``BENCH_service.json``."""
-        sources: dict[str, int] = {}
-        for o in self.outcomes:
-            if o.status == "ok" and o.source:
-                sources[o.source] = sources.get(o.source, 0) + 1
-        return {
-            "ts": time.time(),
-            "label": label,
-            "url": self.url,
-            "tenants": self.tenants,
-            "requests_per_tenant": self.requests_per_tenant,
-            "seed": self.seed,
-            "warm_fraction": self.warm_fraction,
-            "n_requests": self.n_requests,
-            "ok": self.ok,
-            "errors": self.errors,
-            "throttled": self.throttled,
-            "sources": sources,
-            "p50_s": round(self.p50_s, 6),
-            "p95_s": round(self.p95_s, 6),
-            "p99_s": round(self.p99_s, 6),
-            "error_rate": round(self.error_rate, 6),
-            "throttle_rate": round(self.throttle_rate, 6),
-            "wall_s": round(self.wall_s, 6),
-            "rps": round(self.n_requests / self.wall_s, 6)
-            if self.wall_s > 0 else 0.0,
-            "slo": self.slo.to_dict(),
-            "passed": self.passed,
-            "violations": list(self.violations),
-            "probe_trace_id": self.probe_trace_id,
-        }
 
 
 def check_slo(report: LoadReport) -> list[str]:
@@ -429,36 +382,3 @@ def run_loadtest(
     )
     report.violations = check_slo(report)
     return report
-
-
-# ---------------------------------------------------------------------------
-# the benchmark trajectory file
-# ---------------------------------------------------------------------------
-
-
-def append_bench(
-    path: str | Path, report: LoadReport, *, label: str = "loadtest"
-) -> dict[str, Any]:
-    """Append ``report`` as one run record to the JSON-array file at ``path``.
-
-    Creates the file if missing; raises :class:`ValueError` if it exists
-    but is not a JSON array (it is a trajectory, not a single snapshot).
-    Returns the record written.
-    """
-    path = Path(path)
-    history: list[Any] = []
-    if path.exists():
-        text = path.read_text(encoding="utf-8").strip()
-        if text:
-            history = json.loads(text)
-            if not isinstance(history, list):
-                raise ValueError(
-                    f"{path} is not a JSON array of run records"
-                )
-    record = report.to_record(label=label)
-    history.append(record)
-    path.write_text(
-        json.dumps(history, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return record

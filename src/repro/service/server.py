@@ -430,7 +430,7 @@ def run_service(
     is bound (the CLI prints the URL; the CI smoke test parses it).
     SIGTERM and SIGINT trigger a graceful drain: the listener closes,
     in-flight batches get ``config.drain_timeout_s`` to finish, and
-    the process exits 0 — the contract ``repro chaos`` asserts.
+    the process exits 0.
     """
     run_listener(lambda: SweepService(engine, config), on_ready)
 

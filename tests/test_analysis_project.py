@@ -5,8 +5,8 @@ decorated async defs, cycles, nested-def scoping), the four
 cross-module rules (RPR009 async-blocking, RPR010 lock discipline,
 RPR011 registry drift, RPR012 durability ordering) with triggering and
 suppressed fixtures each, the on-disk analysis cache (warm hits,
-invalidation, corruption tolerance), SARIF output, and the ``--graph``
-dump.
+invalidation, corruption tolerance), the CLI's exit codes, and the
+``--graph`` dump.
 """
 
 from __future__ import annotations
@@ -22,13 +22,10 @@ from repro.analysis import (
     LintConfig,
     lint_paths,
     main as lint_main,
-    render_sarif,
 )
 from repro.analysis.callgraph import KIND_FUNCTION
 from repro.analysis.project import ProjectContext, summarize, summary_from_json
 from repro.analysis.runner import make_context
-
-PROJECT_RULES = ("RPR009", "RPR010", "RPR011", "RPR012")
 
 
 def write_tree(tmp_path, files):
@@ -817,72 +814,33 @@ class TestAnalysisCache:
 
 
 # ---------------------------------------------------------------------------
-# SARIF output and CLI plumbing
+# CLI plumbing
 # ---------------------------------------------------------------------------
 
 
-class TestSarifOutput:
-    def _result(self, tmp_path):
-        return lint_tree(
-            tmp_path,
-            {
-                "repro/m.py": """
-                    import random
-                    import time
-
-                    t = time.time()  # repro: noqa[RPR002]
-                    """,
-            },
-        )
-
-    def test_sarif_document_shape(self, tmp_path):
-        doc = json.loads(render_sarif(self._result(tmp_path)))
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_index = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"RPR000", *PROJECT_RULES} <= rule_index
-        by_rule = {r["ruleId"]: r for r in run["results"]}
-        live = by_rule["RPR001"]
-        assert live["level"] == "warning"
-        assert "suppressions" not in live
-        loc = live["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uriBaseId"] == "SRCROOT"
-        assert loc["region"]["startLine"] == 2  # fixture opens with a blank line
-        waived = by_rule["RPR002"]
-        assert waived["suppressions"] == [{"kind": "inSource"}]
-
-    def test_parse_failure_is_error_level(self, tmp_path):
-        result = lint_tree(tmp_path, {"repro/bad.py": "def broken(:\n"})
-        doc = json.loads(render_sarif(result))
-        results = doc["runs"][0]["results"]
-        assert results[0]["ruleId"] == "RPR000"
-        assert results[0]["level"] == "error"
-
-    def test_cli_sarif_exit_codes_are_stable(self, tmp_path):
+class TestProjectPassPlumbing:
+    def test_cli_exit_codes_are_stable(self, tmp_path):
         dirty = write_tree(tmp_path, {"dirty/m.py": "import random\n"})[0]
         clean = write_tree(tmp_path, {"clean/m.py": "x_ns = 1.0\n"})[0]
         buf = io.StringIO()
         assert (
-            lint_main([str(dirty)], output_format="sarif", stream=buf)
+            lint_main([str(dirty)], output_format="json", stream=buf)
             == EXIT_FINDINGS
         )
-        assert json.loads(buf.getvalue())["version"] == "2.1.0"
+        assert json.loads(buf.getvalue())["findings"]
         assert (
-            lint_main([str(clean)], output_format="sarif", stream=io.StringIO())
+            lint_main([str(clean)], output_format="json", stream=io.StringIO())
             == EXIT_CLEAN
         )
         assert (
             lint_main(
                 ["/no/such/path-anywhere"],
-                output_format="sarif",
+                output_format="json",
                 stream=io.StringIO(),
             )
             == EXIT_ERROR
         )
 
-
-class TestProjectPassPlumbing:
     def test_no_project_skips_cross_module_rules(self, tmp_path):
         files = {
             "repro/m.py": """

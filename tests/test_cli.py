@@ -40,7 +40,6 @@ class TestParser:
             ["export", "all"],
             ["obs", "summarize", "t"],
             ["degrade"],
-            ["chaos"],
             ["worker"],
         ):
             assert parser.parse_args(argv).command == argv[0]

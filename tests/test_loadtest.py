@@ -1,15 +1,10 @@
-"""The load/SLO harness: determinism, judging, trajectory file, live run.
+"""The load/SLO harness: determinism, judging and a live run.
 
 ``repro loadtest`` must be reproducible (same seed, same traffic),
 honest (429s counted, not hidden), and judged (SLO thresholds produce
 named violations).  The live test drives a real :class:`ServiceThread`
-and checks the appended ``BENCH_service.json`` record plus the probe
-trace's stitched span tree.
+and checks the probe trace's stitched span tree.
 """
-
-import json
-
-import pytest
 
 from repro.engine.engine import ExperimentEngine
 from repro.obs.stitch import validate_parentage
@@ -21,7 +16,6 @@ from repro.service.loadtest import (
     SloPolicy,
     _draw,
     _make_request,
-    append_bench,
     check_slo,
     format_report,
     percentile,
@@ -124,41 +118,8 @@ class TestSloJudging:
         assert any("no request succeeded" in v for v in check_slo(report))
 
 
-class TestBenchFile:
-    def test_append_creates_then_extends(self, tmp_path):
-        path = tmp_path / "BENCH_service.json"
-        report = _report([_ok(0.1)])
-        report.violations = check_slo(report)
-        first = append_bench(path, report, label="unit")
-        history = json.loads(path.read_text())
-        assert [r["label"] for r in history] == ["unit"]
-        assert first["passed"] is True
-        append_bench(path, report)
-        assert len(json.loads(path.read_text())) == 2
-
-    def test_non_array_file_rejected(self, tmp_path):
-        path = tmp_path / "BENCH_service.json"
-        path.write_text('{"not": "an array"}')
-        with pytest.raises(ValueError, match="JSON array"):
-            append_bench(path, _report([_ok(0.1)]))
-
-    def test_record_schema(self, tmp_path):
-        report = _report([_ok(0.1), _ok(0.3)])
-        report.violations = check_slo(report)
-        record = append_bench(tmp_path / "b.json", report)
-        for key in (
-            "ts", "label", "tenants", "requests_per_tenant", "seed",
-            "n_requests", "ok", "errors", "throttled", "p50_s", "p95_s",
-            "p99_s", "error_rate", "throttle_rate", "wall_s", "rps",
-            "slo", "passed", "violations", "probe_trace_id",
-        ):
-            assert key in record
-        assert record["p50_s"] == pytest.approx(0.1)
-        assert record["p99_s"] == pytest.approx(0.3)
-
-
 class TestLiveLoadtest:
-    def test_storm_probe_and_trace_against_real_service(self, tmp_path):
+    def test_storm_probe_and_trace_against_real_service(self):
         engine = ExperimentEngine()
         with Tracer() as tracer:
             with ServiceThread(engine, ServiceConfig(port=0)) as svc:
@@ -188,5 +149,3 @@ class TestLiveLoadtest:
             "service.request", "service.queue_wait", "broker.batch",
             "engine.map", "engine.worker", "cell.evaluate",
         } <= names
-        record = append_bench(tmp_path / "BENCH_service.json", report)
-        assert record["probe_trace_id"] == report.probe_trace_id

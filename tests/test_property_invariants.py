@@ -264,10 +264,13 @@ class TestDistributedDeterminism:
         # Chunk 0's first attempt os._exit()s the worker that leased it
         # mid-batch; the failover re-evaluation must change nothing.  The
         # dead worker leaves the roster with its lost lease, so the kill
-        # costs exactly one failover.
+        # costs exactly one failover, and no chunk is delivered twice.
         plan = FaultPlan(events=(FaultEvent("crash", chunk=0, attempt=0),))
         failovers = metrics().counter("repro_dispatch_failovers_total")
+        duplicates = metrics().counter("repro_dispatch_duplicate_results_total")
         before = failovers.value()
+        duplicates_before = duplicates.value()
         killed = self._remote_map(cells, fault_plan=plan)
         assert json.dumps(killed, sort_keys=True) == canon
         assert failovers.value() == before + 1
+        assert duplicates.value() == duplicates_before

@@ -14,10 +14,13 @@ The acceptance story of the robustness PR:
   while warm hits keep being served;
 * the job table's hard cap turns unbounded open-job growth into 429
   backpressure;
+* a ``repro worker`` SIGKILLed while it holds a lease costs exactly one
+  failover, no duplicate result and no changed byte (real processes);
 * shutdown drains within its budget and fails (never hangs) leftovers.
 """
 
 import asyncio
+import json
 import os
 import signal
 import subprocess
@@ -30,6 +33,7 @@ import pytest
 
 import repro
 from repro.api import OptimizationRequest
+from repro.dispatch import DispatchPolicy
 from repro.engine.engine import ExperimentEngine
 from repro.errors import (
     ApiError,
@@ -41,7 +45,7 @@ from repro.errors import (
     TransientError,
 )
 from repro.obs.metrics import metrics
-from repro.resilience import RetryPolicy
+from repro.resilience import FaultEvent, FaultPlan, RetryPolicy
 from repro.service import (
     BreakerPolicy,
     CircuitBreaker,
@@ -52,7 +56,6 @@ from repro.service import (
     ServiceThread,
     SweepBroker,
 )
-from repro.service.chaos import ChaosReport, _run_corruption_phase
 from repro.service.jobs import Job, JobStore, new_job_id
 
 N_REFS = 3_000
@@ -88,6 +91,15 @@ def wait_ready(proc):
         if proc.poll() is not None:
             pytest.fail(f"server exited early: {proc.returncode}")
     pytest.fail("server never became ready")
+
+
+def wait_until(predicate, what, timeout_s=30.0):
+    """Poll ``predicate`` until it holds; fail the test after the timeout."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail(f"timed out waiting for {what}")
+        time.sleep(0.02)
 
 
 def child_pids(pid):
@@ -175,6 +187,30 @@ class TestJobJournal:
     def test_missing_file_is_empty_journal(self, tmp_path):
         replay = JobJournal(tmp_path / "absent.jsonl").replay()
         assert replay.incomplete == () and replay.n_records == 0
+
+    def test_damaged_record_costs_only_its_own_job(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = JobJournal(path)
+        requests = [
+            tiny_request(tenant="acme", workload=w)
+            for w in ("compress", "li", "ijpeg")
+        ]
+        for i, request in enumerate(requests):
+            journal.record_admit(
+                f"job-{i}", "acme", f"key-{i}", request,
+                idempotency_key=f"c-{i}",
+            )
+        journal.record_done("job-0", source="computed")
+        # Flip bytes in the middle of the second admit record.
+        lines = path.read_text(encoding="utf-8").splitlines()
+        middle = len(lines[1]) // 2
+        lines[1] = lines[1][:middle] + "\x00!corrupt!" + lines[1][middle:]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        replay = journal.replay()
+        assert replay.n_corrupt == 1
+        assert [j.job_id for j in replay.incomplete] == ["job-2"]
+        assert replay.idempotency["acme:c-2"] == "job-2"
+        assert replay.incomplete[0].request == requests[2]
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +627,7 @@ class TestRecovery:
         # same journal, and every job it acked reaches a terminal state.
         journal = tmp_path / "jobs.jsonl"
         cache_dir = tmp_path / "cache"
+        workloads = ("compress", "li")
         env = serve_env()
         argv = [
             sys.executable, "-m", "repro", "serve",
@@ -612,7 +649,7 @@ class TestRecovery:
                     tiny_request(workload=w), wait=False,
                     idempotency_key=f"crash-{w}",
                 ).job_id
-                for w in ("compress", "li")
+                for w in workloads
             ]
             proc.send_signal(signal.SIGKILL)  # inside the batch window
         finally:
@@ -620,6 +657,7 @@ class TestRecovery:
             proc.wait(timeout=10)
 
         replay = JobJournal(journal).replay()
+        assert replay.n_corrupt == 0  # fsynced admits survive SIGKILL intact
         assert {j.job_id for j in replay.incomplete} == set(acked)
 
         proc = subprocess.Popen(
@@ -633,6 +671,13 @@ class TestRecovery:
                 status = client.wait(job_id, timeout_s=60.0)
                 assert status.state.is_terminal()
                 assert status.state.value == "done"
+            # A retried POST maps to the original job, never to a twin.
+            for w, job_id in zip(workloads, acked):
+                again = client.submit(
+                    tiny_request(workload=w), wait=False,
+                    idempotency_key=f"crash-{w}",
+                )
+                assert again.job_id == job_id
         finally:
             proc.terminate()
             try:
@@ -673,6 +718,85 @@ class TestRecovery:
         finally:
             proc.kill()
             proc.wait(timeout=10)
+
+
+# ---------------------------------------------------------------------------
+# worker plane: a SIGKILLed lease holder costs one failover
+# ---------------------------------------------------------------------------
+
+
+class TestWorkerKill:
+    def test_sigkilled_lease_holder_fails_over_once(self):
+        # Two real `repro worker` processes serve a workers-enabled
+        # service.  Chunk 0's first attempt hangs, which holds its lease
+        # on the first-registered worker until that worker is SIGKILLed
+        # mid-batch.  The 60 s lease means the one failover can only
+        # come from the kill.
+        requests = [
+            tiny_request(workload=w) for w in ("compress", "li", "ijpeg", "perl")
+        ]
+        config = ServiceConfig(batch_window_s=0.0)
+        with ServiceThread(ExperimentEngine(), config) as thread:
+            client = ServiceClient(thread.url, timeout_s=60.0)
+            baseline = [client.submit(r, wait=True) for r in requests]
+        assert [s.state.value for s in baseline] == ["done"] * len(requests)
+
+        plan = FaultPlan(
+            events=(FaultEvent("hang", chunk=0, attempt=0, hang_s=30.0),)
+        )
+        config = ServiceConfig(
+            batch_window_s=0.75,  # the four jobs share one batch
+            workers=True,
+            dispatch=DispatchPolicy(
+                lease_s=60.0, heartbeat_interval_s=0.25, heartbeat_timeout_s=1.5
+            ),
+        )
+        failovers = metrics().counter("repro_dispatch_failovers_total")
+        duplicates = metrics().counter("repro_dispatch_duplicate_results_total")
+        failovers_before = failovers.value()
+        duplicates_before = duplicates.value()
+        workers = []
+        try:
+            engine = ExperimentEngine(jobs=2, chunk_size=1, fault_plan=plan)
+            with ServiceThread(engine, config) as thread:
+                registry = thread.service.plane.registry
+                for n in (1, 2):
+                    workers.append(subprocess.Popen(
+                        [
+                            sys.executable, "-m", "repro", "worker",
+                            "--broker", thread.url, "--port", "0",
+                        ],
+                        env=serve_env(), stdout=subprocess.DEVNULL,
+                        stderr=subprocess.DEVNULL,
+                    ))
+                    wait_until(
+                        lambda: len(registry.workers()) == n,
+                        f"worker {n} to register",
+                    )
+                # The plane offers chunk 0 to the lowest worker id, which
+                # is the first registration.
+                victim = registry.workers()[0]
+                client = ServiceClient(thread.url, timeout_s=60.0)
+                acked = [client.submit(r, wait=False).job_id for r in requests]
+                wait_until(lambda: 0 in victim.leases, "the hung lease")
+                workers[0].send_signal(signal.SIGKILL)
+                workers[0].wait(timeout=10)
+                results = [client.wait(j, timeout_s=60.0) for j in acked]
+        finally:
+            for proc in workers:
+                proc.kill()
+                proc.wait(timeout=10)
+
+        assert [s.state.value for s in results] == ["done"] * len(requests)
+
+        def canonical(statuses):
+            return json.dumps(
+                [s.result.to_dict() for s in statuses], sort_keys=True
+            )
+
+        assert canonical(results) == canonical(baseline)
+        assert failovers.value() == failovers_before + 1
+        assert duplicates.value() == duplicates_before
 
 
 # ---------------------------------------------------------------------------
@@ -751,25 +875,6 @@ class TestClientBackoff:
             submitted = client.submit(tiny_request(), wait=False)
             with pytest.raises(ServiceError, match="still"):
                 client.wait(submitted.job_id, timeout_s=0.3)
-
-
-# ---------------------------------------------------------------------------
-# chaos harness internals (the full drill runs in CI's chaos-smoke job)
-# ---------------------------------------------------------------------------
-
-
-class TestChaosHarness:
-    def test_corruption_phase_invariants_hold(self, tmp_path):
-        report = ChaosReport(seed=7)
-        _run_corruption_phase(report, tmp_path)
-        assert report.violations == []
-        assert report.corrupt_records == 1
-
-    def test_report_fails_on_any_violation(self):
-        report = ChaosReport(seed=0)
-        assert report.passed
-        report.violations.append("x")
-        assert not report.passed
 
 
 # ---------------------------------------------------------------------------
