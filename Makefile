@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-engine bench-figures bench-lint bench-smoke ledger obs-check resilience-check robust-check service-smoke loadtest-smoke chaos-smoke distributed-smoke lint lint-graph typecheck ruff check figures examples clean
+.PHONY: install test bench bench-engine bench-figures bench-smoke ledger obs-check resilience-check robust-check service-smoke loadtest-smoke chaos-smoke distributed-smoke lint lint-graph typecheck ruff check figures examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -92,12 +92,6 @@ lint:
 lint-graph:
 	PYTHONPATH=src $(PYTHON) -m repro lint src --graph
 
-# Warm-cache analyzer budget: a cache-hit whole-tree lint must beat the
-# cold run >= 3x and stay under its wall budget; appends analyzer
-# wall-times to BENCH_lint.json.
-bench-lint:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_lint.py --benchmark-only -s
-
 # mypy/ruff are optional dev tools (pip install -e '.[dev]'); skip
 # gracefully when they are not on PATH so `make check` works in a
 # minimal container.
@@ -124,5 +118,7 @@ figures:
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f; done
 
+# .repro-lint-cache is the directory older versions of `repro lint`
+# wrote beside pyproject.toml; checkouts made with them may still hold it.
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .repro-lint-cache figures

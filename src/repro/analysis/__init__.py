@@ -21,18 +21,17 @@ Layout:
     ``[tool.repro.lint]`` pyproject configuration (rule selection and
     per-path allowlists).
 ``runner``
-    File walking, the per-file and whole-project passes, the on-disk
-    analysis cache, human/JSON rendering and the ``repro lint``
-    entry point with stable exit codes (:data:`EXIT_CLEAN` /
-    :data:`EXIT_FINDINGS` / :data:`EXIT_ERROR`).
+    File walking, the per-file and whole-project passes, human/JSON
+    rendering and the ``repro lint`` entry point with stable exit
+    codes (:data:`EXIT_CLEAN` / :data:`EXIT_FINDINGS` /
+    :data:`EXIT_ERROR`).  Every run reads the tree it is given; no
+    result is kept between runs.
 ``project``
-    Multi-file parsing into cacheable :class:`ModuleSummary` objects —
-    imports, classes with attribute types, functions with call sites.
+    Multi-file parsing into :class:`ModuleSummary` objects — imports,
+    classes with attribute types, functions with call sites.
 ``callgraph``
     Best-effort intra-package call resolution (re-exports, ``self``
     attribution, typed locals) and async reachability.
-``cache``
-    Content-hash-keyed on-disk cache for summaries and findings.
 ``rules``
     The domain rules, RPR001..RPR012 (see ``docs/static-analysis.md``
     for the catalog).

@@ -4,11 +4,9 @@ The per-file pass (PR 5) sees one :class:`~repro.analysis.core.FileContext`
 at a time; cross-module rules need the *shape* of every module at once.
 This module extracts that shape — imports, classes and their attribute
 types, functions with their call sites, observability emissions, name
-literals — into plain-data :class:`ModuleSummary` objects that are
-
-* **pure**: a function of the file content only, so they can be cached
-  on disk keyed by the content hash (:mod:`repro.analysis.cache`), and
-* **small**: call *sites*, not ASTs, so a warm run never re-parses.
+literals — into plain-data :class:`ModuleSummary` objects that hold
+call *sites*, not ASTs.  Every run summarises the files it lints
+afresh; nothing is kept between runs.
 
 The call graph built on top lives in :mod:`repro.analysis.callgraph`.
 
@@ -44,9 +42,6 @@ from typing import Any, Iterator, Mapping
 
 from repro.analysis.core import FileContext, call_name, dotted_name
 from repro.analysis.suppress import suppressed_rules
-
-#: Bump when the summary schema changes; part of every cache key.
-ANALYSIS_VERSION = 1
 
 #: Constructor calls treated as asyncio synchronisation primitives.
 _ASYNCIO_PRIMITIVES = frozenset(
@@ -105,7 +100,7 @@ _CONTAINER_NAMES = frozenset(
 
 
 # ---------------------------------------------------------------------------
-# summary dataclasses (all JSON-round-trippable via to_json / *_from_json)
+# summary dataclasses
 # ---------------------------------------------------------------------------
 
 
@@ -124,16 +119,6 @@ class CallSite:
     #: Argument of ``create_task`` / ``ensure_future`` — fire-and-forget.
     detached: bool = False
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "callee": self.callee,
-            "line": self.line,
-            "col": self.col,
-            "awaited": self.awaited,
-            "via_executor": self.via_executor,
-            "detached": self.detached,
-        }
-
 
 @dataclass(frozen=True)
 class LockAwait:
@@ -144,14 +129,6 @@ class LockAwait:
     line: int
     col: int
     await_line: int
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "lock": self.lock,
-            "line": self.line,
-            "col": self.col,
-            "await_line": self.await_line,
-        }
 
 
 @dataclass(frozen=True)
@@ -164,15 +141,6 @@ class Emission:
     name: str
     line: int
     col: int
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "call": self.call,
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-        }
 
 
 @dataclass(frozen=True)
@@ -196,20 +164,6 @@ class FunctionInfo:
     #: Names of directly nested defs (their infos are separate entries).
     nested: tuple[str, ...]
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-            "is_async": self.is_async,
-            "cls": self.cls,
-            "decorators": list(self.decorators),
-            "calls": [c.to_json() for c in self.calls],
-            "local_types": dict(self.local_types),
-            "lock_awaits": [l.to_json() for l in self.lock_awaits],
-            "nested": list(self.nested),
-        }
-
 
 @dataclass(frozen=True)
 class ClassInfo:
@@ -225,16 +179,6 @@ class ClassInfo:
     #: asyncio primitives created at class scope (shared across
     #: instances and therefore across event loops).
     primitives: tuple[CallSite, ...]
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": list(self.bases),
-            "attr_types": dict(self.attr_types),
-            "methods": list(self.methods),
-            "primitives": [p.to_json() for p in self.primitives],
-        }
 
 
 @dataclass(frozen=True)
@@ -273,92 +217,6 @@ class ModuleSummary:
             if fn.name == qualname:
                 return fn
         return None
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "module": self.module,
-            "display_path": self.display_path,
-            "imports": dict(self.imports),
-            "functions": [f.to_json() for f in self.functions],
-            "classes": {k: v.to_json() for k, v in self.classes.items()},
-            "module_types": dict(self.module_types),
-            "emissions": [e.to_json() for e in self.emissions],
-            "name_literals": dict(self.name_literals),
-            "registry_sets": {k: dict(v) for k, v in self.registry_sets.items()},
-            "noqa": {str(k): list(v) for k, v in self.noqa.items()},
-            "primitives": [p.to_json() for p in self.primitives],
-        }
-
-
-def summary_from_json(data: Mapping[str, Any]) -> ModuleSummary:
-    """Inverse of :meth:`ModuleSummary.to_json` (for the disk cache)."""
-
-    def site(d: Mapping[str, Any]) -> CallSite:
-        return CallSite(
-            callee=d["callee"],
-            line=d["line"],
-            col=d["col"],
-            awaited=d["awaited"],
-            via_executor=d["via_executor"],
-            detached=d["detached"],
-        )
-
-    functions = tuple(
-        FunctionInfo(
-            name=f["name"],
-            line=f["line"],
-            col=f["col"],
-            is_async=f["is_async"],
-            cls=f["cls"],
-            decorators=tuple(f["decorators"]),
-            calls=tuple(site(c) for c in f["calls"]),
-            local_types=dict(f["local_types"]),
-            lock_awaits=tuple(
-                LockAwait(
-                    lock=l["lock"],
-                    line=l["line"],
-                    col=l["col"],
-                    await_line=l["await_line"],
-                )
-                for l in f["lock_awaits"]
-            ),
-            nested=tuple(f["nested"]),
-        )
-        for f in data["functions"]
-    )
-    classes = {
-        name: ClassInfo(
-            name=c["name"],
-            line=c["line"],
-            bases=tuple(c["bases"]),
-            attr_types=dict(c["attr_types"]),
-            methods=tuple(c["methods"]),
-            primitives=tuple(site(p) for p in c["primitives"]),
-        )
-        for name, c in data["classes"].items()
-    }
-    return ModuleSummary(
-        module=data["module"],
-        display_path=data["display_path"],
-        imports=dict(data["imports"]),
-        functions=functions,
-        classes=classes,
-        module_types=dict(data["module_types"]),
-        emissions=tuple(
-            Emission(
-                kind=e["kind"],
-                call=e["call"],
-                name=e["name"],
-                line=e["line"],
-                col=e["col"],
-            )
-            for e in data["emissions"]
-        ),
-        name_literals=dict(data["name_literals"]),
-        registry_sets={k: dict(v) for k, v in data["registry_sets"].items()},
-        noqa={int(k): tuple(v) for k, v in data["noqa"].items()},
-        primitives=tuple(site(p) for p in data["primitives"]),
-    )
 
 
 # ---------------------------------------------------------------------------

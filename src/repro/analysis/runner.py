@@ -22,10 +22,9 @@ Two passes run per invocation:
    of *every* linted file (:mod:`repro.analysis.project` /
    :mod:`repro.analysis.callgraph`).
 
-Both passes cache on disk keyed by file content hashes
-(:mod:`repro.analysis.cache`), so a warm ``repro lint src`` re-parses
-nothing.  ``--no-project`` / ``--no-cache`` opt out; ``--graph`` dumps
-the resolved call graph as JSON instead of linting.
+Every run reads and parses the files it is given; no result is kept
+between runs.  ``--graph`` dumps the resolved call graph as JSON
+instead of linting.
 """
 
 from __future__ import annotations
@@ -38,11 +37,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from repro.analysis import cache as cache_mod
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.config import LintConfig, find_pyproject, load_config
 from repro.analysis.core import FileContext, Finding, ProjectRule, Rule
-from repro.analysis.project import ModuleSummary, ProjectContext, summarize, summary_from_json
+from repro.analysis.project import ProjectContext, summarize
 from repro.analysis.registry import all_rules, get_rule
 from repro.analysis.suppress import is_suppressed
 from repro.errors import AnalysisError
@@ -65,8 +62,6 @@ class LintResult:
     rule_ids: tuple[str, ...] = ()
     #: Wall-clock per phase: ``total_s``, ``file_pass_s``, ``project_pass_s``.
     timings: dict[str, float] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def clean(self) -> bool:
@@ -131,6 +126,13 @@ def make_context(
     )
 
 
+def _discover_config(files: list[Path], config: LintConfig | None) -> LintConfig:
+    """``config``, or the pyproject.toml found upward from the first file."""
+    if config is not None:
+        return config
+    return load_config(find_pyproject(files[0].parent if files else Path.cwd()))
+
+
 def _resolve_rules(select: Iterable[str] | None, config: LintConfig) -> list[Rule]:
     wanted = frozenset(select) if select is not None else config.select
     if not wanted:
@@ -144,7 +146,6 @@ class _LoadedFile:
 
     path: Path
     display: str
-    digest: str
     source: str
     ctx: FileContext | None = None
     error: SyntaxError | None = None
@@ -160,74 +161,29 @@ class _LoadedFile:
 
 
 def _load_files(files: list[Path], root: Path | None) -> list[_LoadedFile]:
-    loaded = []
-    for path in files:
-        data = path.read_bytes()
-        loaded.append(
-            _LoadedFile(
-                path=path,
-                display=_display_path(path, root),
-                digest=cache_mod.content_hash(data),
-                source=data.decode("utf-8"),
-            )
-        )
-    return loaded
-
-
-def _findings_to_json(findings: Iterable[Finding]) -> list[dict[str, object]]:
-    return [f.to_json() for f in findings]
-
-
-def _findings_from_json(payload: Iterable[dict[str, object]]) -> list[Finding]:
     return [
-        Finding(
-            path=str(f["path"]),
-            line=int(f["line"]),  # type: ignore[arg-type]
-            col=int(f["col"]),  # type: ignore[arg-type]
-            rule_id=str(f["rule"]),
-            message=str(f["message"]),
+        _LoadedFile(
+            path=path,
+            display=_display_path(path, root),
+            source=path.read_bytes().decode("utf-8"),
         )
-        for f in payload
+        for path in files
     ]
-
-
-def _open_cache(
-    config: LintConfig, use_cache: bool, cache_dir: str | Path | None
-) -> AnalysisCache | None:
-    if not use_cache:
-        return None
-    if cache_dir is not None:
-        return AnalysisCache(Path(cache_dir))
-    if config.root is not None:
-        return AnalysisCache(config.root / cache_mod.CACHE_DIR_NAME)
-    return None  # no stable anchor for a cache directory
 
 
 def _file_pass(
     loaded: list[_LoadedFile],
     rules: list[Rule],
     config: LintConfig,
-    cache: AnalysisCache | None,
-    fingerprint: str,
     result: LintResult,
 ) -> None:
-    rule_ids = [rule.rule_id for rule in rules]
     for entry in loaded:
         result.files_checked += 1
-        key = cache_mod.file_key(entry.display, entry.digest, rule_ids, fingerprint)
-        if cache is not None:
-            payload = cache.get(key)
-            if payload is not None:
-                result.findings.extend(_findings_from_json(payload["findings"]))
-                result.suppressed.extend(_findings_from_json(payload["suppressed"]))
-                continue
-        found: list[Finding] = []
-        waived: list[Finding] = []
         ctx = entry.parse(config.root)
         if ctx is None:
             exc = entry.error
             assert exc is not None
-            found.append(
+            result.findings.append(
                 Finding(
                     path=entry.display,
                     line=exc.lineno or 1,
@@ -243,42 +199,19 @@ def _file_pass(
                     continue
                 for finding in rule.check(ctx):
                     if is_suppressed(ctx.line_at(finding.line), finding.rule_id):
-                        waived.append(finding)
+                        result.suppressed.append(finding)
                     else:
-                        found.append(finding)
-        if cache is not None:
-            cache.put(
-                key,
-                {
-                    "findings": _findings_to_json(found),
-                    "suppressed": _findings_to_json(waived),
-                },
-            )
-        result.findings.extend(found)
-        result.suppressed.extend(waived)
+                        result.findings.append(finding)
 
 
-def _build_project(
-    loaded: list[_LoadedFile],
-    config: LintConfig,
-    cache: AnalysisCache | None,
-) -> ProjectContext:
-    """Summaries for every parseable file, served from cache when warm."""
+def _build_project(loaded: list[_LoadedFile], config: LintConfig) -> ProjectContext:
+    """Summaries for every parseable file."""
     project = ProjectContext()
     for entry in loaded:
-        summary: ModuleSummary | None = None
-        key = cache_mod.summary_key(entry.display, entry.digest)
-        if cache is not None:
-            payload = cache.get(key)
-            if payload is not None:
-                summary = summary_from_json(payload)
-        if summary is None:
-            ctx = entry.parse(config.root)
-            if ctx is None:
-                continue  # RPR000 already reported by the file pass
-            summary = summarize(ctx)
-            if cache is not None:
-                cache.put(key, summary.to_json())
+        ctx = entry.parse(config.root)
+        if ctx is None:
+            continue  # RPR000 already reported by the file pass
+        summary = summarize(ctx)
         project.modules[summary.module] = summary
     return project
 
@@ -287,23 +220,10 @@ def _project_pass(
     loaded: list[_LoadedFile],
     rules: list[ProjectRule],
     config: LintConfig,
-    cache: AnalysisCache | None,
-    fingerprint: str,
     result: LintResult,
 ) -> None:
-    rule_ids = [rule.rule_id for rule in rules]
-    hashes = {entry.display: entry.digest for entry in loaded}
-    key = cache_mod.project_key(hashes, rule_ids, fingerprint)
-    if cache is not None:
-        payload = cache.get(key)
-        if payload is not None:
-            result.findings.extend(_findings_from_json(payload["findings"]))
-            result.suppressed.extend(_findings_from_json(payload["suppressed"]))
-            return
-    project = _build_project(loaded, config, cache)
+    project = _build_project(loaded, config)
     by_path = {s.display_path: s for s in project.modules.values()}
-    found: list[Finding] = []
-    waived: list[Finding] = []
     for rule in rules:
         for finding in rule.check_project(project):
             if rule.rule_id in config.ignored_for(finding.path):
@@ -312,19 +232,9 @@ def _project_pass(
             if summary is not None and summary.suppressed_on(
                 finding.line, finding.rule_id
             ):
-                waived.append(finding)
+                result.suppressed.append(finding)
             else:
-                found.append(finding)
-    if cache is not None:
-        cache.put(
-            key,
-            {
-                "findings": _findings_to_json(found),
-                "suppressed": _findings_to_json(waived),
-            },
-        )
-    result.findings.extend(found)
-    result.suppressed.extend(waived)
+                result.findings.append(finding)
 
 
 def lint_paths(
@@ -332,9 +242,6 @@ def lint_paths(
     *,
     select: Iterable[str] | None = None,
     config: LintConfig | None = None,
-    project: bool = True,
-    use_cache: bool = True,
-    cache_dir: str | Path | None = None,
 ) -> LintResult:
     """Lint files/directories and return the full result.
 
@@ -342,37 +249,25 @@ def lint_paths(
     path; ``select`` (CLI ``--select``) overrides the config's rule
     selection.  Suppressed findings are retained on
     :attr:`LintResult.suppressed` so tooling can audit waivers.
-
-    ``project=False`` skips the cross-module pass.  Caching needs an
-    anchor directory: the config root (``.repro-lint-cache/`` beside
-    pyproject.toml) or an explicit ``cache_dir``; with neither, the
-    run is simply cold.
     """
     started = time.perf_counter()
     files = iter_python_files(paths)
-    if config is None:
-        pyproject = find_pyproject(Path(files[0]).parent if files else Path.cwd())
-        config = load_config(pyproject)
+    config = _discover_config(files, config)
     rules = _resolve_rules(select, config)
     file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    cache = _open_cache(config, use_cache, cache_dir)
-    fingerprint = cache_mod.config_fingerprint(config)
     result = LintResult(rule_ids=tuple(rule.rule_id for rule in rules))
 
     loaded = _load_files(files, config.root)
     file_started = time.perf_counter()
-    _file_pass(loaded, file_rules, config, cache, fingerprint, result)
+    _file_pass(loaded, file_rules, config, result)
     project_started = time.perf_counter()
-    if project and project_rules:
-        _project_pass(loaded, project_rules, config, cache, fingerprint, result)
+    if project_rules:
+        _project_pass(loaded, project_rules, config, result)
     finished = time.perf_counter()
 
     result.findings.sort()
     result.suppressed.sort()
-    if cache is not None:
-        result.cache_hits = cache.hits
-        result.cache_misses = cache.misses
     result.timings = {
         "total_s": finished - started,
         "file_pass_s": project_started - file_started,
@@ -385,17 +280,11 @@ def build_graph_json(
     paths: Sequence[str | Path],
     *,
     config: LintConfig | None = None,
-    use_cache: bool = True,
-    cache_dir: str | Path | None = None,
 ) -> dict[str, object]:
     """The resolved call graph for ``repro lint --graph``."""
     files = iter_python_files(paths)
-    if config is None:
-        pyproject = find_pyproject(Path(files[0]).parent if files else Path.cwd())
-        config = load_config(pyproject)
-    cache = _open_cache(config, use_cache, cache_dir)
-    loaded = _load_files(files, config.root)
-    project = _build_project(loaded, config, cache)
+    config = _discover_config(files, config)
+    project = _build_project(_load_files(files, config.root), config)
     return project.graph.to_json()
 
 
@@ -421,16 +310,12 @@ def render_json(result: LintResult) -> str:
     """Machine-readable report (stable schema, version-tagged)."""
     return json.dumps(
         {
-            "version": 2,
+            "version": 3,
             "files_checked": result.files_checked,
             "rules": list(result.rule_ids),
             "findings": [finding.to_json() for finding in result.findings],
             "suppressed": [finding.to_json() for finding in result.suppressed],
             "timings": {k: round(v, 6) for k, v in result.timings.items()},
-            "cache": {
-                "hits": result.cache_hits,
-                "misses": result.cache_misses,
-            },
         },
         indent=2,
         sort_keys=True,
@@ -453,8 +338,6 @@ def main(
     output_format: str = "human",
     select: Sequence[str] | None = None,
     list_rules: bool = False,
-    project: bool = True,
-    use_cache: bool = True,
     graph: bool = False,
     stream: IO[str] | None = None,
 ) -> int:
@@ -468,14 +351,14 @@ def main(
         return EXIT_ERROR
     if graph:
         try:
-            dump = build_graph_json(paths, use_cache=use_cache)
+            dump = build_graph_json(paths)
         except AnalysisError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
         print(json.dumps(dump, indent=2, sort_keys=True), file=out)
         return EXIT_CLEAN
     try:
-        result = lint_paths(paths, select=select, project=project, use_cache=use_cache)
+        result = lint_paths(paths, select=select)
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

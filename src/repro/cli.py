@@ -986,14 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph", action="store_true",
         help="dump the resolved cross-module call graph as JSON and exit",
     )
-    lintp.add_argument(
-        "--no-project", action="store_true",
-        help="skip the cross-module project pass (RPR009-RPR012)",
-    )
-    lintp.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and do not write the on-disk analysis cache",
-    )
     sub.add_parser("suite", help="print the calibrated application suite")
     sub.add_parser("clock", help="print the CAP clock table")
     sub.add_parser("power", help="print the Section 4.1 power modes")
@@ -1074,8 +1066,6 @@ def _dispatch(args) -> int:
             output_format=args.output_format,
             select=select,
             list_rules=args.list_rules,
-            project=not args.no_project,
-            use_cache=not args.no_cache,
             graph=args.graph,
         )
     elif args.command == "cache-clear":

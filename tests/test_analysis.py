@@ -110,13 +110,15 @@ class TestRunnerMechanics:
     def test_json_output_schema(self, tmp_path):
         result = lint_source(tmp_path, "import random  # repro: noqa[RPR001]\n")
         doc = json.loads(render_json(result))
-        assert doc["version"] == 2
+        assert set(doc) == {
+            "version", "files_checked", "rules", "findings", "suppressed", "timings",
+        }
+        assert doc["version"] == 3
         assert doc["files_checked"] == 1
         assert doc["findings"] == []
         assert len(doc["suppressed"]) == 1
         assert doc["suppressed"][0]["rule"] == "RPR001"
         assert set(doc["timings"]) == {"total_s", "file_pass_s", "project_pass_s"}
-        assert set(doc["cache"]) == {"hits", "misses"}
 
     def test_main_reports_errors_on_exit_two(self, tmp_path, capsys):
         assert lint_main(["/no/such/path-anywhere"]) == EXIT_ERROR
@@ -567,23 +569,26 @@ class TestRPR008FloatEquality:
 # ---------------------------------------------------------------------------
 
 
-class TestSelfHost:
-    def test_src_is_clean(self):
-        result = lint_paths([REPO_ROOT / "src"])
-        assert result.clean, render_human(result)
-        assert len(result.rule_ids) >= 8
+@pytest.fixture(scope="module")
+def src_lint():
+    """One lint of ``src/``, shared by the self-host tests."""
+    return lint_paths([REPO_ROOT / "src"])
 
-    def test_project_pass_is_active_over_src(self):
+
+class TestSelfHost:
+    def test_src_is_clean(self, src_lint):
+        assert src_lint.clean, render_human(src_lint)
+        assert len(src_lint.rule_ids) >= 8
+
+    def test_project_pass_is_active_over_src(self, src_lint):
         # The cross-module rules must actually run on the self-host
         # check, not just exist in the registry.
-        result = lint_paths([REPO_ROOT / "src"])
-        assert {"RPR009", "RPR010", "RPR011", "RPR012"} <= set(result.rule_ids)
+        assert {"RPR009", "RPR010", "RPR011", "RPR012"} <= set(src_lint.rule_ids)
 
-    def test_suppressions_are_audited(self):
+    def test_suppressions_are_audited(self, src_lint):
         # Every waiver in src/ is deliberate; this pins the count so a
         # new suppression shows up in review.
-        result = lint_paths([REPO_ROOT / "src"])
-        waived = sorted({f.rule_id for f in result.suppressed})
+        waived = sorted({f.rule_id for f in src_lint.suppressed})
         assert waived == ["RPR004", "RPR008"]
 
 

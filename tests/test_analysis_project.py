@@ -4,9 +4,9 @@ Covers the call graph (re-exports, method resolution through ``self``,
 decorated async defs, cycles, nested-def scoping), the four
 cross-module rules (RPR009 async-blocking, RPR010 lock discipline,
 RPR011 registry drift, RPR012 durability ordering) with triggering and
-suppressed fixtures each, the on-disk analysis cache (warm hits,
-invalidation, corruption tolerance), the CLI's exit codes, and the
-``--graph`` dump.
+suppressed fixtures each, runs that see every change to the tree and
+the registry (nothing is kept between runs), the CLI's exit codes, and
+the ``--graph`` dump.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from repro.analysis import (
     main as lint_main,
 )
 from repro.analysis.callgraph import KIND_FUNCTION
-from repro.analysis.project import ProjectContext, summarize, summary_from_json
+from repro.analysis.project import ProjectContext, summarize
+from repro.analysis.rules import naming
 from repro.analysis.runner import make_context
 
 
@@ -39,10 +40,10 @@ def write_tree(tmp_path, files):
     return paths
 
 
-def lint_tree(tmp_path, files, *, select=None, **kwargs):
+def lint_tree(tmp_path, files, *, select=None):
     """Lint a fixture tree with no pyproject config involved."""
     paths = write_tree(tmp_path, files)
-    return lint_paths(paths, select=select, config=LintConfig(), **kwargs)
+    return lint_paths(paths, select=select, config=LintConfig())
 
 
 def build_project(tmp_path, files):
@@ -192,37 +193,6 @@ class TestCallGraph:
         )
         assert finding_rules(result) == ["RPR009"]
         assert "time.sleep" in result.findings[0].message
-
-    def test_summary_json_round_trip(self, tmp_path):
-        (path,) = write_tree(
-            tmp_path,
-            {
-                "repro/rt.py": """
-                    import asyncio
-                    import threading
-                    from functools import partial
-
-                    LOCK = threading.Lock()
-
-                    class Box:
-                        def __init__(self, journal: "Box"):
-                            self._lock = threading.Lock()
-                            self.journal = journal
-
-                        async def go(self):
-                            loop = asyncio.get_running_loop()
-                            with self._lock:
-                                await asyncio.sleep(0)
-                            await loop.run_in_executor(None, partial(print, 1))
-
-                    def emit(tracer):
-                        tracer.record_span("rt.span", 1.0)
-                    """,
-            },
-        )
-        summary = summarize(make_context(path))
-        restored = summary_from_json(json.loads(json.dumps(summary.to_json())))
-        assert restored == summary
 
     def test_graph_json_shape(self, tmp_path):
         project = build_project(
@@ -735,10 +705,45 @@ class TestRPR012Durability:
 
 
 # ---------------------------------------------------------------------------
-# the analysis cache
+# every run reads the tree
 # ---------------------------------------------------------------------------
 
-_CACHE_TREE = {
+
+class TestFreshRuns:
+    def test_registry_change_between_runs_is_reported(self, tmp_path, monkeypatch):
+        # A file's RPR006 findings depend on repro.obs.names as well as
+        # on the file, so a run after the registry changes must report
+        # what the change exposes.  The pyproject.toml makes tmp_path the
+        # config root: the one directory a run could keep state in, and
+        # it must keep none.
+        (tmp_path / "pyproject.toml").write_text(
+            "[project]\nname = 'probe'\n", encoding="utf-8"
+        )
+        paths = write_tree(
+            tmp_path,
+            {
+                "probe/m.py": """
+                    def step(tracer):
+                        with tracer.span("probe.step"):
+                            return 1
+                    """,
+            },
+        )
+        registered = naming.SPAN_NAMES
+        monkeypatch.setattr(naming, "SPAN_NAMES", registered | {"probe.step"})
+        first = lint_paths(paths, select=["RPR006"])
+        monkeypatch.setattr(naming, "SPAN_NAMES", registered)
+        second = lint_paths(paths, select=["RPR006"])
+        assert first.clean
+        assert finding_rules(second) == ["RPR006"]
+        assert not (tmp_path / ".repro-lint-cache").exists()
+
+
+# ---------------------------------------------------------------------------
+# CLI plumbing
+# ---------------------------------------------------------------------------
+
+_BLOCKING_TREE = {
     "repro/util.py": """
         import os
 
@@ -752,70 +757,6 @@ _CACHE_TREE = {
             flush(fd)
         """,
 }
-
-
-class TestAnalysisCache:
-    def test_warm_run_reproduces_findings_from_cache(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cold = lint_tree(tmp_path, _CACHE_TREE, cache_dir=cache_dir)
-        warm = lint_paths(
-            [tmp_path / "repro"], config=LintConfig(), cache_dir=cache_dir
-        )
-        assert cold.findings == warm.findings
-        assert cold.suppressed == warm.suppressed
-        assert cold.cache_misses > 0
-        assert warm.cache_misses == 0
-        assert warm.cache_hits > 0
-
-    def test_edit_invalidates_but_keeps_other_summaries_warm(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cold = lint_tree(tmp_path, _CACHE_TREE, cache_dir=cache_dir)
-        assert finding_rules(cold) == ["RPR009"]
-        (tmp_path / "repro/srv.py").write_text(
-            "async def handler(fd):\n    return fd\n", encoding="utf-8"
-        )
-        fixed = lint_paths(
-            [tmp_path / "repro"], config=LintConfig(), cache_dir=cache_dir
-        )
-        assert fixed.clean
-        # util.py did not change: its entries are served from cache.
-        assert fixed.cache_hits > 0
-
-    def test_corrupt_cache_entries_are_misses_not_crashes(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cold = lint_tree(tmp_path, _CACHE_TREE, cache_dir=cache_dir)
-        for entry in cache_dir.glob("*.json"):
-            entry.write_text("{definitely not json", encoding="utf-8")
-        again = lint_paths(
-            [tmp_path / "repro"], config=LintConfig(), cache_dir=cache_dir
-        )
-        assert again.findings == cold.findings
-        assert again.cache_hits == 0
-
-    def test_no_anchor_stays_cold(self, tmp_path):
-        # LintConfig() has no root and no cache_dir was given: there is
-        # nowhere stable to put a cache, so the run is simply cold.
-        result = lint_tree(tmp_path, _CACHE_TREE)
-        assert result.cache_hits == 0
-        assert result.cache_misses == 0
-        assert not list(tmp_path.rglob(".repro-lint-cache"))
-
-    def test_no_cache_flag_bypasses_a_present_cache(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        lint_tree(tmp_path, _CACHE_TREE, cache_dir=cache_dir)
-        result = lint_paths(
-            [tmp_path / "repro"],
-            config=LintConfig(),
-            use_cache=False,
-            cache_dir=cache_dir,
-        )
-        assert result.cache_hits == 0
-        assert finding_rules(result) == ["RPR009"]
-
-
-# ---------------------------------------------------------------------------
-# CLI plumbing
-# ---------------------------------------------------------------------------
 
 
 class TestProjectPassPlumbing:
@@ -850,10 +791,15 @@ class TestProjectPassPlumbing:
                     time.sleep(1)
                 """,
         }
+        # Selecting the seven file rules is how to run the file pass alone.
+        file_rules = [
+            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006", "RPR008",
+        ]
         with_pass = lint_tree(tmp_path / "a", files)
-        without = lint_tree(tmp_path / "b", files, project=False)
+        without = lint_tree(tmp_path / "b", files, select=file_rules)
         assert finding_rules(with_pass) == ["RPR009"]
         assert without.clean
+        assert without.rule_ids == tuple(file_rules)
 
     def test_graph_dump_via_main(self, tmp_path):
         write_tree(
@@ -899,7 +845,7 @@ class TestProjectPassPlumbing:
         assert result.clean
 
     def test_project_graph_is_deterministic(self, tmp_path):
-        files = dict(_CACHE_TREE)
+        files = dict(_BLOCKING_TREE)
         one = build_project(tmp_path / "a", files).graph.to_json()
         two = build_project(tmp_path / "b", files).graph.to_json()
 
