@@ -40,7 +40,7 @@ def test_bench_fault_free_resilience_overhead(benchmark):
         evaluate_chunk(chunk)
 
     def resilient():
-        return ResilientExecutor(jobs=1, policy=RetryPolicy()).run(chunks)
+        return ResilientExecutor(policy=RetryPolicy()).run(chunks)
 
     benchmark.pedantic(resilient, rounds=5, iterations=1)
     resilient_s = benchmark.stats.stats.min

@@ -3,7 +3,7 @@ path each stay under 5%.
 
 Request tracing is permanently compiled into the HTTP handler, the
 broker and the engine (``record_span`` calls, ``TraceContext`` plumbing,
-shard decisions), all dispatching to the shared null tracer when no
+stitch decisions), all dispatching to the shared null tracer when no
 tracer is active.  This benchmark measures a warm-hit request storm —
 the service's hottest path, where tracing cost is proportionally
 largest because no engine work hides it — with tracing disabled, counts

@@ -1,10 +1,10 @@
 """CI smoke test for the distributed worker plane.
 
-Boots ``repro serve --workers`` on an ephemeral port as a real
-subprocess, registers two real ``repro worker`` subprocesses against
-it, drives a fixed-seed ``repro loadtest`` at the service, and SIGKILLs
-one worker as soon as ``GET /v1/workers`` shows it holding a lease.
-Asserts:
+Boots ``repro serve --workers --trace`` on an ephemeral port as a real
+subprocess, registers two real ``repro worker --slots 2`` subprocesses
+against it, drives a fixed-seed ``repro loadtest`` at the service, and
+SIGKILLs one worker as soon as ``GET /v1/workers`` shows it holding a
+lease.  Asserts:
 
 * both workers register (observed via ``GET /v1/workers``),
 * the kill lands while the loadtest is still running,
@@ -13,7 +13,10 @@ Asserts:
   (``repro_dispatch_remote_chunks_total`` > 0 on ``/metrics``),
 * the killed worker's lease failed over
   (``repro_dispatch_failovers_total`` >= 1 on ``/metrics``),
-* SIGTERM drains the server to a clean exit 0.
+* SIGTERM drains the server to a clean exit 0,
+* the server's span file then validates end to end, with at least one
+  ``worker.evaluate`` span (recorded on a worker host and returned in
+  its answer) whose parent is an ``engine.map`` span.
 
 Usage: ``PYTHONPATH=src python scripts/distributed_smoke.py``
 """
@@ -27,8 +30,10 @@ import selectors
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.request
+from pathlib import Path
 
 DEADLINE_S = 240.0
 READY_PATTERN = re.compile(r"serving on (http://[\w.\-]+:\d+)")
@@ -77,7 +82,37 @@ def metric(metrics_text: str, name: str) -> float:
     return float(match.group(1)) if match else 0.0
 
 
+def check_trace(procs: list[subprocess.Popen], path: Path) -> None:
+    """The drained server's spans form valid trees, and remote worker
+    spans hang under the engine maps that leased their chunks."""
+    from repro.errors import ObservabilityError
+    from repro.obs.schema import read_records
+    from repro.obs.stitch import validate_parentage
+
+    try:
+        records = read_records(path)
+        validate_parentage(records)
+    except ObservabilityError as exc:
+        fail(procs, f"the server's trace is not one valid tree per trace: {exc}")
+    spans = [r for r in records if r["record"] == "span"]
+    maps = {s["id"] for s in spans if s["name"] == "engine.map"}
+    remote = [
+        s for s in spans if s["name"] == "worker.evaluate" and s["parent"] in maps
+    ]
+    if not remote:
+        fail(procs, "no worker.evaluate span sits under an engine.map span")
+    print(
+        f"trace: {len(remote)} worker.evaluate span(s) under engine.map "
+        f"in {len(records)} record(s)"
+    )
+
+
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-distributed-smoke-") as tmp:
+        run(Path(tmp) / "serve.jsonl")
+
+
+def run(trace_path: Path) -> None:
     deadline = time.monotonic() + DEADLINE_S
 
     env = dict(os.environ)
@@ -88,7 +123,7 @@ def main() -> None:
     server = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", "--port", "0",
-            "--jobs", "2", "--workers",
+            "--jobs", "2", "--workers", "--trace", str(trace_path),
             "--quota-burst", "64", "--quota-rate", "1000",
             "--quota-inflight", "64",
         ],
@@ -104,7 +139,7 @@ def main() -> None:
         worker = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "worker",
-                "--broker", url, "--port", "0",
+                "--broker", url, "--port", "0", "--slots", "2",
             ],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env,
@@ -180,6 +215,7 @@ def main() -> None:
         if worker.poll() is None:
             worker.terminate()
             worker.wait(timeout=10)
+    check_trace(procs, trace_path)
     print("distributed smoke PASSED")
 
 

@@ -575,7 +575,7 @@ def _serve(args, engine: ExperimentEngine) -> int:
     with ExitStack() as stack:
         if args.trace:
             # Every request span, queue wait, batch and stitched worker
-            # shard of the service's lifetime lands in this one file.
+            # span of the service's lifetime lands in this one file.
             stack.enter_context(Tracer(args.trace))
         run_service(engine, config, on_ready=on_ready)
     return 0

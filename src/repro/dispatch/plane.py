@@ -35,14 +35,12 @@ Everything is observable: ``repro_dispatch_*`` metrics plus
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from http.client import HTTPException
-from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.dispatch.wire import decode_pairs, evaluate_request
@@ -57,7 +55,7 @@ from repro.errors import (
 )
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
-from repro.obs.stitch import SHARD_SUFFIX, TraceContext
+from repro.obs.stitch import TraceContext
 from repro.resilience.executor import (
     ChunkCallback,
     ChunkResult,
@@ -332,28 +330,26 @@ class RemoteExecutor:
     """Drives chunks over the worker plane; the engine's remote seam.
 
     Mirrors :class:`~repro.resilience.ResilientExecutor`'s construction
-    and ``run`` contract (including ``ExecutionReport``), so the engine
-    treats both identically.  Lease losses are reported as
-    ``lost_chunks``, expired leases additionally as ``timeouts``, and a
-    mid-run degradation to the local pool sets ``serial_fallback``
-    semantics via the wrapped local executor's own report.
+    and ``run`` contract (including ``ExecutionReport`` and the
+    delivered chunks' span ``records``), so the engine treats both
+    identically.  Lease losses are reported as ``lost_chunks``, expired
+    leases additionally as ``timeouts``, and a mid-run degradation to
+    the local pool sets ``serial_fallback`` semantics via the wrapped
+    local executor's own report.
     """
 
     def __init__(
         self,
         plane: "DispatchPlane",
-        jobs: int,
         policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         span=None,
         sleep: Callable[[float], None] = time.sleep,
         trace_ctx: TraceContext | None = None,
-        shard_dir: str | None = None,
         pool: WorkerPool | None = None,
         deadline: float | None = None,
     ) -> None:
         self.plane = plane
-        self.jobs = jobs
         #: The engine's local pool, for the degraded path.
         self.pool = pool
         #: The caller's absolute deadline (``time.monotonic``), if any.
@@ -363,9 +359,10 @@ class RemoteExecutor:
         self.span = span
         self._sleep = sleep
         self.trace_ctx = trace_ctx
-        self.shard_dir = shard_dir
         self._clock = plane.clock
         self.report = ExecutionReport()
+        #: The span records returned with every delivered chunk.
+        self.records: list[dict] = []
         #: Hand-offs of the chunks the local fallback evaluated.
         self.handoffs: list[Handoff] = []
         # The lease deadline never outlives the engine's per-chunk
@@ -388,6 +385,7 @@ class RemoteExecutor:
         """Evaluate every chunk remotely, returning results in order."""
         chunks = [list(c) for c in chunks]
         self.report = ExecutionReport()
+        self.records = []
         if not chunks:
             return []
         n = len(chunks)
@@ -489,8 +487,10 @@ class RemoteExecutor:
                     f"worker {lease.worker_id} answered chunk {lease.chunk} "
                     f"with a malformed payload: {exc}"
                 ) from exc
+            # Outside input: the engine's stitch drops and counts any
+            # record that does not join its trace.
             spans = doc.get("spans") or []
-            return pairs, spans
+            return pairs, spans if isinstance(spans, list) else [spans]
         message = str(doc.get("error") or f"HTTP {status}")
         if doc.get("transient"):
             raise TransientError(message)
@@ -563,7 +563,7 @@ class RemoteExecutor:
             "repro_dispatch_chunk_seconds",
             "remote chunk wall time, lease issue to delivery",
         ).observe(wall_s)
-        self._write_spans(spans, lease)
+        self.records.extend(spans)
 
     def _deliver(
         self, chunk, pairs, results, worker_id, on_chunk_done
@@ -597,13 +597,11 @@ class RemoteExecutor:
         """
         self._note_local_fallback(len(remaining))
         fallback = ResilientExecutor(
-            jobs=self.jobs,
             policy=self.policy,
             fault_plan=None,
             span=self.span,
             sleep=self._sleep,
             trace_ctx=self.trace_ctx,
-            shard_dir=self.shard_dir,
             pool=self.pool,
             deadline=self.deadline,
         )
@@ -612,6 +610,7 @@ class RemoteExecutor:
             self._deliver(remaining[j], pairs, results, "local", on_chunk_done)
 
         fallback.run([chunks[i] for i in remaining], on_chunk_done=relay)
+        self.records.extend(fallback.records)
         self.handoffs.extend(fallback.handoffs)
         local = fallback.report
         self.report.retries += local.retries
@@ -690,26 +689,6 @@ class RemoteExecutor:
             n_chunks,
         )
 
-    def _write_spans(self, spans: list, lease: _Lease) -> None:
-        """Drop a worker's span records into the engine's shard dir.
-
-        Written as one more ``*.spans.jsonl`` shard, named for the
-        map's span like a local pool shard, so the engine's
-        :func:`~repro.obs.stitch.stitch_shards` pass merges remote spans
-        exactly like local ones.
-        """
-        if not self.shard_dir or not spans or self.trace_ctx is None:
-            return
-        name = (
-            f"{self.trace_ctx.parent_id}.remote-chunk-{lease.chunk:04d}"
-            f"-attempt-{lease.attempt}-{lease.worker_id}{SHARD_SUFFIX}"
-        )
-        path = Path(self.shard_dir) / name
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in spans:
-                if isinstance(record, dict):
-                    fh.write(json.dumps(record) + "\n")
-
 
 class DispatchPlane:
     """The engine-facing factory over a :class:`WorkerRegistry`."""
@@ -735,12 +714,10 @@ class DispatchPlane:
     def executor(
         self,
         *,
-        jobs: int,
         policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         span=None,
         trace_ctx: TraceContext | None = None,
-        shard_dir: str | None = None,
         pool: WorkerPool | None = None,
         deadline: float | None = None,
     ) -> RemoteExecutor | None:
@@ -767,12 +744,10 @@ class DispatchPlane:
             return None
         return RemoteExecutor(
             self,
-            jobs=jobs,
             policy=policy,
             fault_plan=fault_plan,
             span=span,
             trace_ctx=trace_ctx,
-            shard_dir=shard_dir,
             pool=pool,
             deadline=deadline,
         )

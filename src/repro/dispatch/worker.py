@@ -10,19 +10,21 @@ service uses, JSON in/out, connection-per-request) with two routes:
   process down, exactly like a pool worker dying), and the caller's
   trace context.  Spans recorded during evaluation (a ``worker.evaluate``
   root wrapping the usual ``engine.worker`` / ``cell.evaluate`` tree)
-  are captured in a shard in a temporary directory, removed once they
-  are read, and returned in the response, so the broker can stitch one
-  cross-host trace.
+  are kept in memory and returned in the response, so the broker can
+  stitch one cross-host trace.
 * ``GET /healthz`` — liveness.
 
 A request the shared reader rejects answers ``400``/``413``; a handler
 bug answers ``500`` with ``"transient": false``.
 
-Evaluation runs on a thread pool sized to ``--slots``, so health checks
-and concurrent leases are served while a chunk computes.  When started
-with ``--broker`` the worker registers itself and then **heartbeats**
-on the interval the broker dictates; a worker that loses the broker
-re-registers rather than dying, and deregisters politely on SIGTERM.
+Evaluation runs on the event loop's default thread-pool executor, so
+health checks and concurrent leases (up to ``--slots``, the number the
+broker leases at once) are served while a chunk computes.  Traced
+evaluations run one at a time, because the active tracer is
+process-wide.  When started with ``--broker`` the worker registers
+itself and then **heartbeats** on the interval the broker dictates; a
+worker that loses the broker re-registers rather than dying, and
+deregisters politely on SIGTERM.
 
 :class:`WorkerThread` hosts the same server on a daemon thread for
 in-process tests.
@@ -34,15 +36,13 @@ import asyncio
 import json
 import logging
 import os
-import tempfile
+import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 from repro.dispatch.wire import decode_cells, decode_plan, decode_trace
 from repro.errors import ReproError, ServiceError, TransientError
-from repro.obs.stitch import SHARD_SUFFIX, read_shard, shard_tracer
 from repro.obs.trace import span
 from repro.resilience.faults import evaluate_chunk_with_faults
 from repro.service.http import (
@@ -89,6 +89,13 @@ class WorkerConfig:
 
 class WorkerServer(Listener):
     """One worker listener bound to a running event loop."""
+
+    #: Held by every traced evaluation: each installs its tracer as the
+    #: process-wide active tracer, so two overlapping ones would push
+    #: spans onto each other's stacks.  Untraced chunks do not take it;
+    #: a broker traces all of its maps or none, so a worker never runs
+    #: the two kinds at once.
+    _trace_lock = threading.Lock()
 
     def __init__(self, config: WorkerConfig) -> None:
         super().__init__(config.host, config.port)
@@ -164,26 +171,21 @@ class WorkerServer(Listener):
         plan = decode_plan(document.get("fault_plan"))
         trace = decode_trace(document.get("trace"))
         started = time.perf_counter()
-        spans: list[dict] = []
-        if trace is not None:
-            with tempfile.TemporaryDirectory(prefix="repro-worker-spans-") as tmp:
-                shard = Path(tmp) / f"chunk-{chunk:04d}-attempt-{attempt}{SHARD_SUFFIX}"
-                with shard_tracer(trace, shard):
-                    with span(
-                        "worker.evaluate",
-                        level="engine",
-                        worker_id=self.worker_id,
-                        chunk=chunk,
-                        attempt=attempt,
-                        pid=os.getpid(),
-                        n_cells=len(cells),
-                    ):
-                        pairs = evaluate_chunk_with_faults(
-                            cells, plan, chunk, attempt
-                        )
-                spans = read_shard(shard)
+        if trace is None:
+            pairs, spans = evaluate_chunk_with_faults(cells, plan, chunk, attempt)
         else:
-            pairs = evaluate_chunk_with_faults(cells, plan, chunk, attempt)
+            tracer = trace.tracer()
+            with self._trace_lock, tracer, span(
+                "worker.evaluate",
+                level="engine",
+                worker_id=self.worker_id,
+                chunk=chunk,
+                attempt=attempt,
+                pid=os.getpid(),
+                n_cells=len(cells),
+            ):
+                pairs, _ = evaluate_chunk_with_faults(cells, plan, chunk, attempt)
+            spans = tracer.records
         return {
             "pairs": [[payload, wall_s] for payload, wall_s in pairs],
             "spans": spans,

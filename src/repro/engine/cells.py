@@ -14,7 +14,7 @@ deliberately small, self-describing records:
   (and cold versus warm cache) bitwise identical.
 
 Evaluators are registered per cell *kind* in a module-level table; the
-pool target :func:`evaluate_chunk` is a top-level function, so spawned
+pool target imports :func:`evaluate_chunk` from here, so spawned
 workers re-import this module and find every evaluator registered.
 Each evaluator imports its structure's simulator and TPI model on first
 use, so a process loads only the kernels of the kinds it evaluates; the
@@ -48,7 +48,6 @@ from repro.workloads.suite import get_profile
 
 if TYPE_CHECKING:
     from repro.branch.predictors import PredictorKind
-    from repro.obs.stitch import TraceContext
     from repro.tlb.simulator import TlbDepthHistogram
 
 
@@ -98,34 +97,15 @@ def evaluate_cell(cell: SweepCell) -> dict:
 
 
 def evaluate_chunk(
-    cells: Sequence[SweepCell],
-    chunk: int = 0,
-    attempt: int = 0,
-    trace: "TraceContext | None" = None,
-    shard_path: str | None = None,
+    cells: Sequence[SweepCell], chunk: int = 0, attempt: int = 0
 ) -> list[tuple[dict, float]]:
-    """Pool target: evaluate a chunk, returning (payload, wall_s) pairs.
+    """Evaluate a chunk in this process, returning (payload, wall_s) pairs.
 
-    Top-level on purpose — spawn-mode workers must be able to unpickle
-    a reference to it.  When ``trace`` and ``shard_path`` are given the
-    chunk runs under a worker-side shard tracer (see
-    :mod:`repro.obs.stitch`): the ``engine.worker`` / ``cell.evaluate``
-    spans land in the shard file and the engine stitches them into the
-    parent trace.  In-process callers pass neither, and the spans go to
-    whatever tracer is active (or the null tracer).
+    The ``engine.worker`` / ``cell.evaluate`` spans go to the active
+    tracer (or the null tracer).  In a pool worker that is an in-memory
+    tracer whose records return with the chunk's result (see
+    :func:`~repro.resilience.faults.evaluate_chunk_with_faults`).
     """
-    if trace is not None and shard_path is not None:
-        from repro.obs.stitch import shard_tracer
-
-        tracer = shard_tracer(trace, shard_path)
-        with tracer:
-            return _evaluate_chunk_spans(cells, chunk, attempt)
-    return _evaluate_chunk_spans(cells, chunk, attempt)
-
-
-def _evaluate_chunk_spans(
-    cells: Sequence[SweepCell], chunk: int, attempt: int
-) -> list[tuple[dict, float]]:
     out: list[tuple[dict, float]] = []
     with span(
         "engine.worker",

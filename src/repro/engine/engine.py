@@ -33,10 +33,7 @@ resuming a killed sweep from its result cache are documented in
 from __future__ import annotations
 
 import math
-import shutil
-import tempfile
 import time
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -158,22 +155,13 @@ class ExperimentEngine:
             else None
         )
         self._pool = WorkerPool(self.jobs)
-        # Where pooled workers write trace shards: made by the first
-        # traced pooled map, removed by close() (or, for an engine never
-        # closed, when it is collected or the interpreter exits).
-        self._shard_dir: str | None = None
-        self._shard_cleanup: weakref.finalize | None = None
 
     def close(self) -> None:
-        """End the worker pool, if one was started, and wait for it;
-        remove the trace-shard directory, if one was made.
+        """End the worker pool, if one was started, and wait for it.
 
         The engine stays usable: a later pooled map starts a new pool.
         """
         self._pool.close()
-        if self._shard_cleanup is not None:
-            self._shard_cleanup()
-            self._shard_dir = self._shard_cleanup = None
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -348,23 +336,18 @@ class ExperimentEngine:
                 if self._cache is not None:
                     self._cache.store(keys[g], cells[g], payload)
 
-        # Cross-process tracing: pooled workers cannot see this
-        # process's tracer, so hand them a TraceContext anchored on the
-        # open engine.map span; they write span shards, named for that
-        # span, to the engine's shard directory, and this map stitches
-        # its own shards into the parent trace afterwards.  An inline
-        # map needs none of this — its spans reach the active tracer
-        # in-process.
+        # Cross-process tracing: pooled and remote workers cannot see
+        # this process's tracer, so hand them a TraceContext anchored on
+        # the open engine.map span; each chunk's span records come back
+        # with its result, and this map stitches them into the parent
+        # trace afterwards.  An inline map needs none of this — its
+        # spans reach the active tracer in-process.
         tracer = obs.current_tracer()
-        shard_dir: str | None = None
         trace_ctx: TraceContext | None = None
-        # Remote dispatch always shards (the workers are other hosts);
-        # the local path only when it evaluates in the pool.
         dispatching = self.dispatcher is not None and self.dispatcher.ready()
         if tracer.enabled and (dispatching or pooled):
             from repro.obs.stitch import TraceContext
 
-            shard_dir = self._shards()
             trace_ctx = TraceContext(trace_id=tracer.trace_id, parent_id=span.id)
 
         # The executor seam: a dispatch plane with healthy workers
@@ -375,54 +358,34 @@ class ExperimentEngine:
         executor = None
         if self.dispatcher is not None:
             executor = self.dispatcher.executor(
-                jobs=self.jobs,
                 policy=self._retry,
                 fault_plan=self.fault_plan,
                 span=span,
                 trace_ctx=trace_ctx,
-                shard_dir=shard_dir,
                 pool=pool,
                 deadline=deadline,
             )
         if executor is None:
             executor = ResilientExecutor(
-                jobs=self.jobs,
                 policy=self._retry,
                 fault_plan=self.fault_plan,
                 span=span,
                 trace_ctx=trace_ctx,
-                shard_dir=shard_dir,
                 pool=pool,
                 deadline=deadline,
             )
         try:
             executor.run(chunks, on_chunk_done=on_chunk_done)
         finally:
-            if shard_dir is not None:
-                from repro.obs.stitch import stitch_shards
+            if trace_ctx is not None:
+                from repro.obs.stitch import stitch_records
 
                 with obs.span("engine.stitch", level="engine"):
-                    stitched = stitch_shards(shard_dir, anchors={span.id})
-                    tracer.adopt(stitched.records)
-                    _record_handoffs(
-                        tracer, trace_ctx, stitched.records, executor.handoffs
-                    )
-                span.set(
-                    worker_shards=stitched.shards,
-                    stitched_spans=len(stitched.records),
-                    shard_orphans=stitched.orphans,
-                )
+                    records, dropped = stitch_records(executor.records, trace_ctx)
+                    tracer.adopt(records)
+                    _record_handoffs(tracer, trace_ctx, records, executor.handoffs)
+                span.set(worker_spans=len(records), dropped_spans=dropped)
         return executor.report
-
-    def _shards(self) -> str:
-        """The trace-shard directory, made on first use."""
-        if self._shard_dir is None:
-            with obs.span("engine.stitch", level="engine"):
-                self._shard_dir = tempfile.mkdtemp(prefix="repro-trace-shards-")
-            self._shard_cleanup = weakref.finalize(
-                self, shutil.rmtree, self._shard_dir, ignore_errors=True
-            )
-        return self._shard_dir
 
 
 def _record_handoffs(tracer, context, records, handoffs) -> None:

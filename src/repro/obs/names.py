@@ -47,12 +47,12 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "context_switch",
         "process_setup",
         # Experiment engine and structure simulators.  ``engine.worker``
-        # / ``cell.evaluate`` are written by pool workers into span
-        # shards and stitched into the parent trace (repro.obs.stitch);
-        # ``engine.pool_send`` / ``engine.pool_return`` are the pool's
-        # legs either side of a worker span, ``engine.pool_start`` a
-        # pool booting its workers, ``engine.stitch`` creating the shard
-        # directory and, after the chunks, stitching the shards.
+        # / ``cell.evaluate`` are recorded by pool workers, returned
+        # with each chunk's result and stitched into the parent trace
+        # (repro.obs.stitch); ``engine.pool_send`` / ``engine.pool_return``
+        # are the pool's legs either side of a worker span,
+        # ``engine.pool_start`` a pool booting its workers,
+        # ``engine.stitch`` adopting the returned spans after the chunks.
         "engine.map",
         "engine.worker",
         "cell.evaluate",
@@ -75,8 +75,8 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "broker.fan_out",
         "service.respond",
         # Distributed worker plane: one ``worker.evaluate`` per leased
-        # chunk, written by a remote ``repro worker`` process into a
-        # span shard and stitched cross-host (repro.obs.stitch).
+        # chunk, recorded by a remote ``repro worker`` process, returned
+        # in its answer and stitched cross-host (repro.obs.stitch).
         "worker.evaluate",
         # Degradation study harness.
         "degradation_study",
@@ -197,8 +197,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "repro_dispatch_registrations_total",
         "repro_dispatch_remote_chunks_total",
         "repro_dispatch_workers",
-        # Observability stitching.
-        "repro_obs_shard_torn_lines_total",
         # Degraded-hardware robustness layer.
         "repro_robust_configs_masked_total",
         "repro_robust_fault_evacuations_total",

@@ -1,43 +1,36 @@
-"""Cross-process trace stitching: worker span shards merged into one tree.
+"""Cross-process trace stitching: worker spans merged into one tree.
 
-The engine's worker pool evaluates cells in other processes, where the
-parent's :class:`~repro.obs.trace.Tracer` does not exist.  To keep one
-trace across the boundary:
+The engine's worker pool and remote ``repro worker`` hosts evaluate
+cells in other processes, where the parent's
+:class:`~repro.obs.trace.Tracer` does not exist.  To keep one trace
+across the boundary:
 
 1. the engine captures a picklable :class:`TraceContext` — its trace id
    plus the open ``engine.map`` span id as an *anchor* — and hands it to
-   every pooled chunk;
-2. each worker opens a :func:`shard_tracer` writing a private JSONL
-   *shard* file (``engine.worker`` / ``cell.evaluate`` spans) whose
-   stack-root spans are parented to the anchor, in a shard directory the
-   engine keeps for its lifetime; the file name starts with the anchor,
-   so maps sharing the directory never read each other's shards;
-3. after the pool drains, the engine calls :func:`stitch_shards` to read
-   and remove its map's shards, drop orphaned records (a worker killed
-   mid-span leaves children whose parent never closed), and adopt the
-   survivors into the parent trace.
+   every chunk it sends away;
+2. the chunk runs under the context's in-memory :meth:`TraceContext.tracer`
+   (``engine.worker`` / ``cell.evaluate`` spans, plus ``worker.evaluate``
+   on a remote host), whose stack-root spans are parented to the anchor,
+   and its records travel back with the chunk's result;
+3. after the run, the engine calls :func:`stitch_records` to keep the
+   records whose parent chain reaches the anchor and adopts them into
+   the parent trace.
 
-:func:`validate_parentage` is the cross-file acceptance check: schema
-validity plus every-trace-has-a-root, run over a fully stitched file.
+:func:`validate_parentage` is the cross-process acceptance check:
+schema validity plus every-trace-has-a-root, run over a stitched file.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import uuid
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import metrics
-from repro.obs.schema import validate_trace
+from repro.obs.schema import validate_record, validate_trace
 from repro.obs.trace import Tracer
 
 _LOG = logging.getLogger("repro.obs.stitch")
-
-SHARD_SUFFIX = ".spans.jsonl"
 
 
 @dataclass(frozen=True)
@@ -51,118 +44,68 @@ class TraceContext:
     trace_id: str
     parent_id: str | None = None
 
+    def tracer(self) -> Tracer:
+        """An in-memory tracer for one chunk evaluation in this trace.
 
-def shard_path(shard_dir: str | Path, anchor: str, chunk: int, attempt: int) -> Path:
-    """Where one (chunk, attempt) evaluation under ``anchor`` (the map's
-    span id) writes its span shard."""
-    name = (
-        f"{anchor}.chunk-{chunk:04d}-attempt-{attempt}-pid{os.getpid()}"
-        f"{SHARD_SUFFIX}"
-    )
-    return Path(shard_dir) / name
+        Its stack-root spans are parented to ``parent_id``.  The id
+        prefix is unique per tracer (not merely per process: a pool
+        worker evaluates many chunks, each with its own tracer counting
+        ids from 1) so merged ids never collide with each other or with
+        the parent's ``s…`` ids.
+        """
+        return Tracer(
+            None,
+            trace_id=self.trace_id,
+            id_prefix=f"w{uuid.uuid4().hex[:8]}-",
+            root_parent=self.parent_id,
+        )
 
 
-def shard_tracer(context: TraceContext, path: str | Path) -> Tracer:
-    """A worker-side tracer whose records join ``context``'s trace.
+def stitch_records(records: list, context: TraceContext) -> tuple[list[dict], int]:
+    """The worker records that join ``context``'s tree, and how many not.
 
-    The id prefix is unique per shard (not merely per process: a pool
-    worker evaluates many chunks, each with its own tracer counting ids
-    from 1) so merged ids never collide with each other or with the
-    parent's ``s…`` ids.
+    A record is kept when it is a well-formed span or event of the
+    context's trace whose parent chain reaches the anchor
+    (``context.parent_id``).  Pool workers only return the closed spans
+    of a finished chunk, so theirs always pass; records from remote
+    hosts are outside input, and anything malformed, of another trace
+    or floating outside the anchor's tree is dropped and counted, so
+    the merged file still passes :func:`validate_parentage`.  Kept
+    records stay in their input order.
     """
-    tracer = Tracer(
-        path,
-        trace_id=context.trace_id,
-        id_prefix=f"w{uuid.uuid4().hex[:8]}-",
-        root_parent=context.parent_id,
-    )
-    tracer.open()
-    return tracer
-
-
-@dataclass
-class StitchResult:
-    """Outcome of merging shard files into a parent trace."""
-
-    records: list[dict]
-    shards: int
-    orphans: int
-
-
-def read_shard(path: str | Path) -> list[dict]:
-    """Read one shard tolerantly: a crashed worker may truncate the tail.
-
-    Torn lines — a worker SIGKILLed mid-write leaves a truncated final
-    JSONL record — are skipped with a warning and counted on
-    ``repro_obs_shard_torn_lines_total``, mirroring the job journal's
-    torn-line policy: corruption is survivable but never silent.
-    """
-    records: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                metrics().counter(
-                    "repro_obs_shard_torn_lines_total",
-                    "torn span-shard lines skipped while stitching",
-                ).inc()
-                _LOG.warning(
-                    "span shard %s line %d is torn (killed worker?); skipping",
-                    path, lineno,
-                )
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-    return records
-
-
-def stitch_shards(shard_dir: str | Path, anchors: set[str]) -> StitchResult:
-    """Collect and remove the anchors' shards and resolve parentage.
-
-    Only files named for one of ``anchors`` (see :func:`shard_path`)
-    are read, and each is deleted once read.  A record survives if its
-    parent chain reaches an anchor span id owned by the calling process.
-    Anything else — spans whose parent never closed because the worker
-    died — is counted as an orphan and dropped, so the merged file still
-    passes :func:`validate_parentage`.
-    """
-    records: list[dict] = []
-    shards = 0
-    for anchor in sorted(anchors):
-        for path in sorted(Path(shard_dir).glob(f"{anchor}.*{SHARD_SUFFIX}")):
-            records.extend(read_shard(path))
-            path.unlink()
-            shards += 1
-    resolved = set(anchors)
-    pending = list(records)
+    candidates: list[dict] = []
+    for record in records:
+        if not isinstance(record, dict) or record.get("trace_id") != context.trace_id:
+            continue
+        try:
+            validate_record(record)
+        except ObservabilityError:
+            continue
+        candidates.append(record)
+    anchor = context.parent_id
+    resolved = {anchor}
+    pending = candidates
     # Children are written before parents, so resolution is iterative:
-    # keep admitting records whose parent is already resolved.
+    # keep resolving spans whose parent is already resolved.
     while True:
-        admitted: list[dict] = []
         still: list[dict] = []
         for record in pending:
-            if record.get("parent") in resolved:
-                admitted.append(record)
-                if record.get("record") == "span":
-                    resolved.add(record["id"])
-            else:
+            if record["parent"] not in resolved:
                 still.append(record)
-        if not admitted:
+            elif record["record"] == "span":
+                resolved.add(record["id"])
+        if len(still) == len(pending):
             break
         pending = still
-    orphans = len(pending)
-    kept_ids = resolved - anchors
-    kept = [
-        r
-        for r in records
-        if (r.get("record") == "span" and r.get("id") in kept_ids)
-        or (r.get("record") == "event" and r.get("parent") in resolved)
-    ]
-    return StitchResult(records=kept, shards=shards, orphans=orphans)
+    kept = [r for r in candidates if r["parent"] in resolved and r["id"] != anchor]
+    dropped = len(records) - len(kept)
+    if dropped:
+        _LOG.warning(
+            "dropped %d of %d worker span record(s) that do not join "
+            "trace %s under span %s",
+            dropped, len(records), context.trace_id, context.parent_id,
+        )
+    return kept, dropped
 
 
 def validate_parentage(records: list[dict]) -> None:

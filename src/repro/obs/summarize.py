@@ -60,8 +60,9 @@ def _timeline(intervals: Sequence[Mapping[str, Any]]) -> list[str]:
     return lines
 
 
-def _shard_count(records: Sequence[Mapping[str, Any]]) -> int:
-    """Distinct worker-shard id prefixes (``w<hex>-``) in the records."""
+def _worker_chunks(records: Sequence[Mapping[str, Any]]) -> int:
+    """Distinct worker-tracer id prefixes (``w<hex>-``) in the records:
+    one per chunk evaluation whose spans were stitched in."""
     prefixes = {
         r["id"].partition("-")[0]
         for r in records
@@ -74,9 +75,9 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> str:
     """Human-readable report over validated trace records.
 
     A file holding one trace renders as a single report.  A stitched or
-    multi-request file (several trace ids, worker span shards merged in)
-    gets a per-trace breakdown: one section per trace id, in order of
-    first appearance, each noting how many worker shards contributed.
+    multi-request file (several trace ids, worker spans merged in) gets
+    a per-trace breakdown: one section per trace id, in order of first
+    appearance, each noting how many worker chunks contributed spans.
     """
     validate_trace(records)
     spans = [r for r in records if r["record"] == "span"]
@@ -94,13 +95,13 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> str:
     for tid, recs in by_trace.items():
         t_spans = [r for r in recs if r["record"] == "span"]
         t_events = [r for r in recs if r["record"] == "event"]
-        shards = _shard_count(recs)
+        chunks = _worker_chunks(recs)
         title = (
             f"--- trace {tid}: {len(t_spans)} span(s), "
             f"{len(t_events)} event(s)"
         )
-        if shards:
-            title += f", {shards} worker shard(s)"
+        if chunks:
+            title += f", {chunks} worker chunk(s)"
         out.append("")
         out.append(title)
         out.extend(_trace_body(t_spans, t_events))

@@ -173,14 +173,14 @@ class Tracer:
         JSONL sink; ``None`` keeps records in memory only (tests).
     trace_id:
         Adopt an existing trace id instead of minting one — used by
-        worker-shard tracers so their records join the parent trace.
+        worker-side tracers so their records join the parent trace.
     id_prefix:
-        Prefix for generated span ids.  Shard tracers use a per-shard
-        prefix so ids stay unique when shards are merged.
+        Prefix for generated span ids.  Worker-side tracers use a
+        per-chunk prefix so ids stay unique when their records merge.
     root_parent:
-        Parent span id assigned to stack-root spans.  A shard tracer
-        sets this to the engine-side anchor span so worker spans attach
-        to the parent process's tree instead of floating as roots.
+        Parent span id assigned to stack-root spans.  A worker-side
+        tracer sets this to the engine-side anchor span so worker spans
+        attach to the parent process's tree instead of floating as roots.
     """
 
     enabled = True
@@ -229,19 +229,10 @@ class Tracer:
         with self._write_lock:
             self.records.append(record)
             if self.path is not None:
-                self.open().write(json.dumps(record, sort_keys=True) + "\n")
-
-    def open(self) -> TextIO:
-        """The on-disk sink, created on first use (or now).
-
-        A shard tracer opens it before its first span, so that span
-        does not time the file's creation.
-        """
-        if self._fh is None:
-            assert self.path is not None
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a", encoding="utf-8")
-        return self._fh
+                if self._fh is None:  # the sink is created on first use
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    self._fh = self.path.open("a", encoding="utf-8")
+                self._fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     def _emit_event(self, name: str, parent: str | None, attrs: dict) -> None:
         self._write(
@@ -315,7 +306,7 @@ class Tracer:
         return sid
 
     def adopt(self, records: list[dict]) -> int:
-        """Append already-formed records (worker shards) to this trace.
+        """Append already-formed records (a worker's spans) to this trace.
 
         Records keep their own ids, parents and trace ids — stitching
         decides parentage; the tracer only validates and persists.

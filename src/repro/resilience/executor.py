@@ -28,13 +28,15 @@ completion through every failure mode the engine knows how to survive:
 The pool is a :class:`WorkerPool`: ``spawn`` workers that ignore
 SIGINT (the parent owns shutdown) and exit on their own when the parent
 process dies.  An engine owns one for its lifetime and hands it to each
-run; a run given no pool starts a private one and ends it on return.
+pooled run; a run given no pool evaluates inline.
 
 Completed chunks are delivered through the ``on_chunk_done`` callback
 *as they finish* (result-cache writes hang off it, so an
 interrupted run preserves its progress), and the final result list is
 assembled strictly in chunk order — the resilience machinery never
-perturbs result ordering.
+perturbs result ordering.  The span records a traced pooled chunk
+returns with its result are collected on ``records`` for the engine to
+stitch.
 
 Every recovery action is surfaced through the ``repro.obs`` stack: a
 span event (``engine.retry``, ``engine.chunk_timeout``,
@@ -214,28 +216,22 @@ def _kill(pool: ProcessPoolExecutor) -> None:
 class ResilientExecutor:
     """Drives chunks of sweep cells to completion despite faults.
 
-    ``pool`` is the :class:`WorkerPool` to evaluate in.  Given one, every
-    run is pooled, even at ``jobs=1`` or for a single chunk, and the
-    pool outlives the run.  Without one, ``jobs=1`` and single-chunk
-    runs evaluate inline and others start a private pool for the run.
-    ``deadline`` is an absolute :func:`time.monotonic` time that bounds
-    every pooled chunk wait; the inline path cannot be interrupted and
-    ignores it.
+    ``pool`` is the :class:`WorkerPool` to evaluate in; it outlives the
+    run.  Without one, the run evaluates inline.  ``deadline`` is an
+    absolute :func:`time.monotonic` time that bounds every pooled chunk
+    wait; the inline path cannot be interrupted and ignores it.
     """
 
     def __init__(
         self,
-        jobs: int,
         policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         span=None,
         sleep: Callable[[float], None] = time.sleep,
         trace_ctx: TraceContext | None = None,
-        shard_dir: str | None = None,
         pool: WorkerPool | None = None,
         deadline: float | None = None,
     ) -> None:
-        self.jobs = jobs
         self.pool = pool
         self.deadline = deadline
         self.policy = policy if policy is not None else RetryPolicy()
@@ -243,12 +239,13 @@ class ResilientExecutor:
         self.span = span
         self._sleep = sleep
         # Cross-process tracing: pooled chunks receive the parent's
-        # TraceContext and write span shards under shard_dir (stitched
-        # by the engine afterwards).  The serial path ignores both —
-        # in-process spans reach the active tracer directly.
+        # TraceContext and return their span records with their results.
+        # The serial path ignores it — in-process spans reach the active
+        # tracer directly.
         self.trace_ctx = trace_ctx
-        self.shard_dir = shard_dir
         self.report = ExecutionReport()
+        #: The span records of every pooled chunk delivered while tracing.
+        self.records: list[dict] = []
         #: One :class:`Handoff` per pooled chunk returned while tracing.
         self.handoffs: list[Handoff] = []
 
@@ -262,13 +259,14 @@ class ResilientExecutor:
         """Evaluate every chunk, returning results in chunk order."""
         chunks = [list(c) for c in chunks]
         self.report = ExecutionReport()
+        self.records = []
         self.handoffs = []
         if not chunks:
             return []
         results: dict[int, ChunkResult] = {}
         attempts = {i: 0 for i in range(len(chunks))}
         pending = set(range(len(chunks)))
-        if self.pool is None and (self.jobs == 1 or len(chunks) == 1):
+        if self.pool is None:
             self._run_serial(chunks, pending, attempts, results, on_chunk_done)
         else:
             self._run_parallel(chunks, pending, attempts, results, on_chunk_done)
@@ -277,31 +275,22 @@ class ResilientExecutor:
     # -- parallel path -----------------------------------------------------
 
     def _run_parallel(self, chunks, pending, attempts, results, on_chunk_done):
-        pool = self.pool
-        if pool is None:
-            pool = WorkerPool(min(self.jobs, len(chunks)))
         pool_deaths = 0
-        try:
-            while pending:
-                if pool_deaths > self.policy.max_pool_respawns:
-                    self._note_serial_fallback(pool_deaths)
-                    self._run_serial(
-                        chunks, pending, attempts, results, on_chunk_done
-                    )
-                    return
-                died = self._run_pooled(
-                    pool, chunks, pending, attempts, results, on_chunk_done
-                )
-                if died:
-                    pool_deaths += 1
-                    if pending and pool_deaths <= self.policy.max_pool_respawns:
-                        self._note_respawn(pool_deaths)
-        finally:
-            if pool is not self.pool:
-                pool.close()
+        while pending:
+            if pool_deaths > self.policy.max_pool_respawns:
+                self._note_serial_fallback(pool_deaths)
+                self._run_serial(chunks, pending, attempts, results, on_chunk_done)
+                return
+            died = self._run_pooled(
+                chunks, pending, attempts, results, on_chunk_done
+            )
+            if died:
+                pool_deaths += 1
+                if pending and pool_deaths <= self.policy.max_pool_respawns:
+                    self._note_respawn(pool_deaths)
 
     def _run_pooled(
-        self, workers: WorkerPool, chunks, pending, attempts, results, on_chunk_done
+        self, chunks, pending, attempts, results, on_chunk_done
     ) -> bool:
         """One pool's share of the run; returns whether it died.
 
@@ -312,6 +301,7 @@ class ResilientExecutor:
         from concurrent.futures import TimeoutError as FuturesTimeoutError
         from concurrent.futures.process import BrokenProcessPool
 
+        workers = self.pool
         try:
             pool = workers.executor()
         except BrokenProcessPool:
@@ -335,12 +325,11 @@ class ResilientExecutor:
                             i,
                             attempts[i],
                             trace=self.trace_ctx,
-                            shard_dir=self.shard_dir,
                         )
                     for i in order:
                         timeout, by_deadline = self._wait_s()
                         try:
-                            pairs = futures[i].result(timeout=timeout)
+                            pairs, records = futures[i].result(timeout=timeout)
                         except FuturesTimeoutError:
                             assert timeout is not None  # only a bounded wait
                             self._note_timeout(i, attempts[i], timeout)
@@ -374,7 +363,9 @@ class ResilientExecutor:
                                 self.handoffs.append(
                                     Handoff(i, attempts[i], sent[i], time.time())
                                 )
-                            self._complete(i, pairs, pending, results, on_chunk_done)
+                            self._complete(
+                                i, pairs, records, pending, results, on_chunk_done
+                            )
                 except BrokenProcessPool:
                     died = True
                 if died:
@@ -425,11 +416,13 @@ class ResilientExecutor:
             fut = futures.get(i)
             if fut is not None and fut.done():
                 try:
-                    pairs = fut.result(timeout=0)
+                    pairs, records = fut.result(timeout=0)
                 except Exception:
                     pass  # broke with the pool: fall through to lost
                 else:
-                    self._complete(i, pairs, pending, results, on_chunk_done)
+                    self._complete(
+                        i, pairs, records, pending, results, on_chunk_done
+                    )
                     continue
             attempts[i] += 1
             self._note_lost(i, attempts[i])
@@ -440,7 +433,7 @@ class ResilientExecutor:
         for i in sorted(pending):
             while True:
                 try:
-                    pairs = evaluate_chunk_with_faults(
+                    pairs, records = evaluate_chunk_with_faults(
                         chunks[i], self.fault_plan, i, attempts[i], serial=True
                     )
                 except Exception as exc:
@@ -456,13 +449,16 @@ class ResilientExecutor:
                         f"chunk {i} failed after {attempts[i] + 1} attempt(s): {exc}"
                     ) from exc
                 else:
-                    self._complete(i, pairs, pending, results, on_chunk_done)
+                    self._complete(
+                        i, pairs, records, pending, results, on_chunk_done
+                    )
                     break
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _complete(self, i, pairs, pending, results, on_chunk_done) -> None:
+    def _complete(self, i, pairs, records, pending, results, on_chunk_done) -> None:
         results[i] = pairs
+        self.records.extend(records)
         pending.discard(i)
         if on_chunk_done is not None:
             on_chunk_done(i, pairs)

@@ -33,7 +33,8 @@ the graceful-degradation story.  ``transient`` fires in both modes.
 
 :func:`evaluate_chunk_with_faults` is the pool target wrapping the real
 :func:`~repro.engine.cells.evaluate_chunk`; it is a top-level function
-so spawn-mode workers can unpickle a reference to it.
+so spawn-mode workers can unpickle a reference to it, and it returns a
+traced chunk's span records together with its result.
 """
 
 from __future__ import annotations
@@ -160,32 +161,26 @@ def evaluate_chunk_with_faults(
     attempt: int,
     serial: bool = False,
     trace: "TraceContext | None" = None,
-    shard_dir: str | None = None,
-) -> list[tuple[dict, float]]:
+) -> tuple[list[tuple[dict, float]], list[dict]]:
     """Pool target: fire any scheduled faults, then evaluate the chunk.
 
     Top-level on purpose — spawn-mode workers must be able to unpickle
-    a reference to it.  With ``plan=None`` this is exactly
-    :func:`~repro.engine.cells.evaluate_chunk`.  ``trace``/``shard_dir``
-    carry the parent's :class:`~repro.obs.stitch.TraceContext` into
-    pooled workers, which then write their spans to a per-(map, chunk,
-    attempt) shard file for the engine to stitch; serial execution
-    leaves them unset because the in-process tracer is already visible.
+    a reference to it.  Returns the chunk's (payload, wall_s) pairs and
+    the span records of its evaluation.  Given the parent's
+    :class:`~repro.obs.stitch.TraceContext`, the chunk runs under that
+    context's in-memory tracer, and its records travel back with the
+    pairs for the engine to stitch.  Without one the spans go to
+    whatever tracer is active and the record list is empty.  Faults
+    fire before the tracer opens, and an evaluation that raises returns
+    no records.
     """
     if plan is not None:
         plan.fire(chunk, attempt, serial=serial)
-    if trace is not None and shard_dir is not None and not serial:
-        from repro.obs.stitch import shard_path
-
-        assert trace.parent_id is not None  # the engine anchors every map
-        return evaluate_chunk(
-            cells,
-            chunk=chunk,
-            attempt=attempt,
-            trace=trace,
-            shard_path=str(shard_path(shard_dir, trace.parent_id, chunk, attempt)),
-        )
-    return evaluate_chunk(cells, chunk=chunk, attempt=attempt)
+    if trace is None:
+        return evaluate_chunk(cells, chunk=chunk, attempt=attempt), []
+    with trace.tracer() as tracer:
+        pairs = evaluate_chunk(cells, chunk=chunk, attempt=attempt)
+    return pairs, tracer.records
 
 
 def corrupt_cache_entry(cache: "ResultCache", key: str) -> bool:

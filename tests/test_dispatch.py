@@ -14,24 +14,29 @@ What the worker plane must guarantee:
   worker and the sweep still matches the baseline — the lease is the
   only owner of a slow or hung worker;
 * zero registered workers degrade silently to the local resilient
-  pool; registered-but-unhealthy workers degrade loudly.
+  pool; registered-but-unhealthy workers degrade loudly;
+* a traced map's remote spans come back in each worker's answer and
+  land under its ``engine.map`` span, one traced chunk at a time per
+  worker process, and a malformed remote span is dropped and counted.
 """
 
 import http.client
 import json
-import tempfile
-from pathlib import Path
+import logging
+import sys
 
 import pytest
 
 from repro.dispatch import wire
 from repro.dispatch.plane import DispatchPlane, DispatchPolicy, WorkerRegistry
-from repro.dispatch.worker import WorkerConfig, WorkerThread
+from repro.dispatch.worker import WorkerConfig, WorkerServer, WorkerThread
 from repro.engine.cells import cache_tpi_cell, queue_tpi_cell, tlb_tpi_cell
 from repro.engine.engine import ExperimentEngine
 from repro.errors import ServiceError
 from repro.obs.metrics import metrics
-from repro.obs.stitch import TraceContext
+from repro.obs.schema import read_records
+from repro.obs.stitch import TraceContext, validate_parentage
+from repro.obs.trace import Tracer, current_tracer
 from repro.resilience import FaultEvent, FaultPlan, RetryPolicy
 from repro.workloads.suite import get_profile
 
@@ -320,7 +325,7 @@ class TestRemoteEvaluation:
         baseline = ExperimentEngine(jobs=1).map(cells)
         plane = DispatchPlane()
         assert plane.ready() is False
-        assert plane.executor(jobs=2) is None
+        assert plane.executor() is None
         engine = ExperimentEngine(jobs=2, chunk_size=1, dispatcher=plane)
         assert _canon(engine.map(cells)) == _canon(baseline)
 
@@ -334,8 +339,84 @@ class TestRemoteEvaluation:
         state = plane.registry.register("http://127.0.0.1:1")
         state.breaker.record_failure()  # open, cooldown 60s
         before = _counter("repro_dispatch_local_fallbacks_total")
-        assert plane.executor(jobs=2) is None
+        assert plane.executor() is None
         assert _counter("repro_dispatch_local_fallbacks_total") == before + 1
+
+    def test_traced_map_stitches_remote_spans_under_engine_map(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        plane = DispatchPlane(policy=DispatchPolicy(heartbeat_timeout_s=NO_REAP))
+        with WorkerThread(WorkerConfig(slots=2)) as w1, \
+                WorkerThread(WorkerConfig(slots=2)) as w2:
+            plane.registry.register(w1.url, slots=2)
+            plane.registry.register(w2.url, slots=2)
+            with Tracer(path):
+                engine = ExperimentEngine(chunk_size=1, dispatcher=plane)
+                engine.map(_small_cells(4))
+        records = read_records(path)
+        validate_parentage(records)
+        spans = [r for r in records if r["record"] == "span"]
+        [engine_map] = [s for s in spans if s["name"] == "engine.map"]
+        remote = [s for s in spans if s["name"] == "worker.evaluate"]
+        assert len(remote) == 4
+        assert all(s["parent"] == engine_map["id"] for s in remote)
+        assert [s["name"] for s in spans].count("cell.evaluate") == 4
+
+    def test_traced_chunks_on_a_multi_slot_worker_keep_their_own_spans(self):
+        # A worker with two slots evaluates two leased chunks on two
+        # threads at once; each traced evaluation installs its tracer as
+        # the process-wide active one, so they must not overlap.
+        compress = get_profile("compress")
+        cells = [
+            queue_tpi_cell(compress, 20_000 + 100 * i, (16, 32)) for i in range(4)
+        ]
+        plane = DispatchPlane(policy=DispatchPolicy(heartbeat_timeout_s=NO_REAP))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: overlaps show
+        try:
+            with WorkerThread(WorkerConfig(slots=2)) as worker:
+                plane.registry.register(worker.url, slots=2)
+                for _ in range(5):
+                    with Tracer() as tracer:
+                        engine = ExperimentEngine(chunk_size=2, dispatcher=plane)
+                        engine.map(cells)
+                        assert current_tracer() is tracer
+                    validate_parentage(tracer.records)
+                    names = [
+                        r["name"] for r in tracer.records if r["record"] == "span"
+                    ]
+                    assert names.count("worker.evaluate") == 2
+                    assert names.count("cell.evaluate") == 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_malformed_remote_span_is_dropped_and_counted(self, monkeypatch, caplog):
+        cells = _small_cells(2)
+        baseline = ExperimentEngine(jobs=1).map(cells)
+        evaluate = WorkerServer._evaluate_sync
+
+        def with_bogus_span(server, document):
+            answer = evaluate(server, document)
+            answer["spans"].append({
+                "record": "span", "name": "bogus", "id": "wbad-1",
+                "parent": document["trace"]["parent_id"],
+                "trace_id": document["trace"]["trace_id"],
+            })
+            return answer
+
+        monkeypatch.setattr(WorkerServer, "_evaluate_sync", with_bogus_span)
+        plane = DispatchPlane(policy=DispatchPolicy(heartbeat_timeout_s=NO_REAP))
+        with WorkerThread(WorkerConfig()) as worker:
+            plane.registry.register(worker.url)
+            with caplog.at_level(logging.WARNING, logger="repro.obs.stitch"):
+                with Tracer() as tracer:
+                    engine = ExperimentEngine(chunk_size=2, dispatcher=plane)
+                    payloads = engine.map(cells)
+        assert _canon(payloads) == _canon(baseline)
+        validate_parentage(tracer.records)
+        assert "wbad-1" not in {r["id"] for r in tracer.records}
+        [engine_map] = [r for r in tracer.records if r["name"] == "engine.map"]
+        assert engine_map["attrs"]["dropped_spans"] == 1
+        assert len([r for r in caplog.records if r.name == "repro.obs.stitch"]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +470,8 @@ class TestWorkerHttp:
         assert status == 500
         assert doc["transient"] is False
 
-    def test_worker_leaves_no_span_directory_behind(self):
-        # A shard directory exists only while a traced evaluate runs.
-        def span_dirs():
-            return set(Path(tempfile.gettempdir()).glob("repro-worker-spans-*"))
-
-        before = span_dirs()
-        trace = TraceContext(trace_id="spandirs01", parent_id="s-1")
+    def test_traced_evaluate_answers_with_its_spans(self):
+        trace = TraceContext(trace_id="spans00001", parent_id="s-1")
         with WorkerThread(WorkerConfig()) as worker:
             status, doc = self._request(
                 worker, "POST", "/v1/evaluate",
@@ -404,8 +480,13 @@ class TestWorkerHttp:
                 ),
             )
         assert status == 200
-        assert {s["trace_id"] for s in doc["spans"]} == {"spandirs01"}
-        assert span_dirs() <= before
+        spans = doc["spans"]
+        assert {s["trace_id"] for s in spans} == {"spans00001"}
+        assert sorted(s["name"] for s in spans) == [
+            "cell.evaluate", "engine.worker", "worker.evaluate",
+        ]
+        [root] = [s for s in spans if s["parent"] == "s-1"]
+        assert root["name"] == "worker.evaluate"
 
     def test_evaluate_round_trips_a_chunk(self):
         cells = _small_cells(1)

@@ -2,9 +2,9 @@
 
 The distributed-tracing acceptance story:
 
-* worker shard files written by :func:`~repro.obs.stitch.shard_tracer`
-  merge into the parent trace with parentage intact
-  (:func:`~repro.obs.stitch.stitch_shards` +
+* the span records a worker's :meth:`~repro.obs.stitch.TraceContext.tracer`
+  returns with a chunk merge into the parent trace with parentage intact
+  (:func:`~repro.obs.stitch.stitch_records` +
   :func:`~repro.obs.stitch.validate_parentage`),
 * a real pooled engine run (``jobs=2``) yields one trace covering
   ``engine.map`` → ``engine.worker`` → ``cell.evaluate`` across
@@ -15,10 +15,7 @@ The distributed-tracing acceptance story:
   trace instead of mashing them together.
 """
 
-import json
-import os
 import pickle
-import tempfile
 
 import pytest
 
@@ -26,15 +23,7 @@ from repro.engine.cells import evaluate_chunk, queue_tpi_cell
 from repro.engine.engine import ExperimentEngine
 from repro.errors import ObservabilityError
 from repro.obs.critical import critical_path, format_report
-from repro.obs.stitch import (
-    SHARD_SUFFIX,
-    TraceContext,
-    read_shard,
-    shard_path,
-    shard_tracer,
-    stitch_shards,
-    validate_parentage,
-)
+from repro.obs.stitch import TraceContext, stitch_records, validate_parentage
 from repro.obs.summarize import summarize_trace
 from repro.obs.trace import Tracer
 from repro.workloads.suite import get_profile
@@ -47,107 +36,100 @@ def _small_cells(n: int = 4):
     return [queue_tpi_cell(compress, N_INSTR + 100 * i, (16, 32)) for i in range(n)]
 
 
+def _worker_records(context: TraceContext, chunk: int = 0, cells: int = 0):
+    """The records one chunk evaluation returns: an ``engine.worker``
+    span with ``cells`` ``cell.evaluate`` spans below it."""
+    with context.tracer() as tracer:
+        with tracer.span("engine.worker", level="engine", chunk=chunk):
+            for _ in range(cells):
+                with tracer.span("cell.evaluate", level="engine"):
+                    pass
+    return tracer.records
+
+
 # ---------------------------------------------------------------------------
-# shard plumbing
+# worker records and stitching
 # ---------------------------------------------------------------------------
 
 
-class TestShards:
+class TestWorkerRecords:
     def test_trace_context_is_picklable(self):
         context = TraceContext(trace_id="abc123", parent_id="s000001")
         assert pickle.loads(pickle.dumps(context)) == context
 
-    def test_shard_tracer_joins_parent_trace(self, tmp_path):
+    def test_worker_tracer_joins_parent_trace(self):
         context = TraceContext(trace_id="abc123", parent_id="anchor")
-        path = shard_path(tmp_path, "anchor", chunk=0, attempt=0)
-        with shard_tracer(context, path) as tracer:
+        tracer = context.tracer()
+        assert tracer.path is None  # in memory: the records are the result
+        with tracer:
             with tracer.span("engine.worker", level="engine"):
                 pass
-        [record] = read_shard(path)
+        [record] = tracer.records
         assert record["trace_id"] == "abc123"
         assert record["parent"] == "anchor"  # stack root -> anchor
         assert record["id"].startswith("w")
 
-    def test_shard_ids_unique_across_shards(self, tmp_path):
+    def test_worker_ids_unique_across_chunks(self):
         context = TraceContext(trace_id="abc123", parent_id="anchor")
-        ids = set()
-        for chunk in range(2):
-            path = shard_path(tmp_path, "anchor", chunk=chunk, attempt=0)
-            with shard_tracer(context, path) as tracer:
-                with tracer.span("engine.worker", level="engine"):
-                    pass
-            ids.update(r["id"] for r in read_shard(path))
+        ids = {
+            r["id"] for chunk in range(2) for r in _worker_records(context, chunk)
+        }
         assert len(ids) == 2  # same pid, same counter start, distinct ids
 
-    def test_read_shard_tolerates_torn_tail(self, tmp_path):
-        path = tmp_path / f"torn{SHARD_SUFFIX}"
-        good = {"record": "span", "id": "w1", "parent": "anchor"}
-        path.write_text(json.dumps(good) + '\n{"record": "spa', encoding="utf-8")
-        assert read_shard(path) == [good]
-
-    def test_stitch_merges_two_shards(self, tmp_path):
+    def test_stitch_merges_two_chunks(self):
         context = TraceContext(trace_id="abc123", parent_id="anchor")
-        for chunk in range(2):
-            with shard_tracer(
-                context, shard_path(tmp_path, "anchor", chunk=chunk, attempt=0)
-            ) as tracer:
-                with tracer.span("engine.worker", level="engine", chunk=chunk):
-                    with tracer.span("cell.evaluate", level="engine"):
-                        pass
-        result = stitch_shards(tmp_path, anchors={"anchor"})
-        assert result.shards == 2
-        assert result.orphans == 0
-        assert len(result.records) == 4
-        roots = [r for r in result.records if r["parent"] == "anchor"]
+        records = [
+            r for chunk in range(2) for r in _worker_records(context, chunk, 1)
+        ]
+        kept, dropped = stitch_records(records, context)
+        assert dropped == 0
+        assert kept == records
+        roots = [r for r in kept if r["parent"] == "anchor"]
         assert [r["name"] for r in roots] == ["engine.worker", "engine.worker"]
 
-    def test_stitch_takes_only_its_own_shards(self, tmp_path):
-        # Maps of one engine share a shard directory: each stitches and
-        # removes only the shards named for its own span.
-        for anchor in ("s000001", "s000002"):
-            with shard_tracer(
-                TraceContext(trace_id="abc123", parent_id=anchor),
-                shard_path(tmp_path, anchor, chunk=0, attempt=0),
-            ) as tracer:
-                with tracer.span("engine.worker", level="engine"):
-                    pass
-        result = stitch_shards(tmp_path, anchors={"s000001"})
-        assert result.shards == 1
-        assert [r["parent"] for r in result.records] == ["s000001"]
-        assert [p.name.split(".")[0] for p in tmp_path.iterdir()] == ["s000002"]
+    def test_stitch_takes_only_its_own_map(self):
+        # Records of another map's anchor, or of another trace, are not
+        # this map's to adopt.
+        mine = TraceContext(trace_id="abc123", parent_id="s000001")
+        records = (
+            _worker_records(mine)
+            + _worker_records(TraceContext("abc123", "s000002"))
+            + _worker_records(TraceContext("zzz999", "s000001"))
+        )
+        kept, dropped = stitch_records(records, mine)
+        assert [(r["trace_id"], r["parent"]) for r in kept] == [
+            ("abc123", "s000001")
+        ]
+        assert dropped == 2
 
-    def test_stitch_drops_orphans_from_dead_worker(self, tmp_path):
+    def test_stitch_drops_records_outside_the_anchor_tree(self):
         context = TraceContext(trace_id="abc123", parent_id="anchor")
-        with shard_tracer(
-            context, shard_path(tmp_path, "anchor", chunk=0, attempt=0)
-        ) as tracer:
-            with tracer.span("engine.worker", level="engine"):
-                pass
-        # A killed worker's shard: the child span closed but the
-        # enclosing engine.worker span never did, so its parent id
-        # resolves to nothing.
-        orphan = {
+        span = {
             "record": "span", "name": "cell.evaluate", "level": "engine",
-            "trace_id": "abc123", "id": "wdead-000002",
-            "parent": "wdead-000001", "ts": 1.0, "dur_s": 0.1, "attrs": {},
+            "trace_id": "abc123", "ts": 1.0, "dur_s": 0.1, "attrs": {},
         }
-        path = tmp_path / f"anchor.dead{SHARD_SUFFIX}"
-        path.write_text(json.dumps(orphan) + "\n", encoding="utf-8")
-        result = stitch_shards(tmp_path, anchors={"anchor"})
-        assert result.orphans == 1
-        assert [r["name"] for r in result.records] == ["engine.worker"]
+        bad = [
+            # The child of a span that never closed: its parent resolves
+            # to nothing.
+            {**span, "id": "wdead-000002", "parent": "wdead-000001"},
+            # Well-parented but malformed (a remote worker's answer is
+            # outside input).
+            {"record": "span", "name": "bogus", "parent": "anchor",
+             "id": "wbad-1", "trace_id": "abc123"},
+            # A span posing as the anchor itself.
+            {**span, "id": "anchor", "parent": "anchor"},
+            "not a record",
+        ]
+        kept, dropped = stitch_records(_worker_records(context) + bad, context)
+        assert dropped == len(bad)
+        assert [r["name"] for r in kept] == ["engine.worker"]
 
-    def test_stitched_records_adopt_into_parent_trace(self, tmp_path):
+    def test_stitched_records_adopt_into_parent_trace(self):
         with Tracer() as tracer:
             with tracer.span("engine.map", level="engine") as anchor:
                 context = TraceContext(tracer.trace_id, anchor.id)
-                with shard_tracer(
-                    context, shard_path(tmp_path, anchor.id, chunk=0, attempt=0)
-                ) as worker:
-                    with worker.span("engine.worker", level="engine"):
-                        pass
-                stitched = stitch_shards(tmp_path, anchors={anchor.id})
-                assert tracer.adopt(stitched.records) == 1
+                kept, _ = stitch_records(_worker_records(context), context)
+                assert tracer.adopt(kept) == 1
         validate_parentage(tracer.records)
 
 
@@ -174,7 +156,7 @@ class TestValidateParentage:
 
     def test_floating_trace_rejected(self):
         # Every span of t2 claims a parent, but none is a root: the
-        # subtree floats (an unstitched shard smuggled into the file).
+        # subtree floats (unstitched worker spans smuggled into the file).
         records = [
             self._span("t1", "a", None),
             self._span("t2", "b", "c"),
@@ -204,12 +186,12 @@ class TestEngineStitching:
         assert len(by_name["cell.evaluate"]) == 4
         map_id = by_name["engine.map"][0]["id"]
         assert all(s["parent"] == map_id for s in by_name["engine.worker"])
-        # Worker spans crossed a process boundary: shard-prefixed ids
-        # and (with jobs=2, 4 chunks) recorded worker pids.
+        # Worker spans crossed a process boundary: worker-tracer ids,
+        # returned with each chunk's result and all adopted.
         assert all(s["id"].startswith("w") for s in by_name["engine.worker"])
         attrs = by_name["engine.map"][0]["attrs"]
-        assert attrs["worker_shards"] == 4
-        assert attrs["shard_orphans"] == 0
+        assert attrs["worker_spans"] == 8
+        assert attrs["dropped_spans"] == 0
 
     def test_pooled_run_names_the_pool_legs_around_each_worker_span(self):
         # A jobs=1 pooled engine (the service's) ships even one chunk to
@@ -229,30 +211,6 @@ class TestEngineStitching:
             assert send["ts"] + send["dur_s"] == pytest.approx(worker["ts"])
             assert ret["ts"] == pytest.approx(worker["ts"] + worker["dur_s"])
             assert "engine.stitch" in kids
-
-    def test_one_shard_directory_per_engine(self, monkeypatch):
-        made = []
-        mkdtemp = tempfile.mkdtemp
-
-        def counting_mkdtemp(*args, **kwargs):
-            path = mkdtemp(*args, **kwargs)
-            if str(kwargs.get("prefix", "")).startswith("repro-trace-shards"):
-                made.append(path)
-            return path
-
-        monkeypatch.setattr(tempfile, "mkdtemp", counting_mkdtemp)
-        with Tracer() as tracer:
-            with ExperimentEngine(pooled=True) as engine:
-                for _ in range(20):
-                    engine.map(_small_cells(1))
-                assert len(made) == 1
-                assert os.listdir(made[0]) == []  # each map took its shards
-        assert not os.path.exists(made[0])
-        maps = [
-            r for r in tracer.records
-            if r["record"] == "span" and r["name"] == "engine.map"
-        ]
-        assert [m["attrs"]["worker_shards"] for m in maps] == [1] * 20
 
     def test_serial_run_traces_workers_inline(self):
         cells = _small_cells(2)
@@ -376,21 +334,15 @@ class TestMultiTraceSummarize:
         records = [_span("t", "root", None, "service.request", 0.0, 1.0)]
         assert "--- trace" not in summarize_trace(records)
 
-    def test_stitched_two_process_trace_summarized_per_trace(self, tmp_path):
+    def test_stitched_two_process_trace_summarized_per_trace(self):
         """Two traces, one stitched across processes, render separately."""
-        context = TraceContext(trace_id="stitched0001", parent_id=None)
         with Tracer(trace_id="stitched0001") as tracer:
             with tracer.span("engine.map", level="engine") as anchor:
-                for chunk in range(2):
-                    with shard_tracer(
-                        TraceContext("stitched0001", anchor.id),
-                        shard_path(tmp_path, anchor.id, chunk=chunk, attempt=0),
-                    ) as worker:
-                        with worker.span("engine.worker", level="engine"):
-                            pass
-                tracer.adopt(
-                    stitch_shards(tmp_path, anchors={anchor.id}).records
-                )
+                context = TraceContext("stitched0001", anchor.id)
+                records = [
+                    r for chunk in range(2) for r in _worker_records(context, chunk)
+                ]
+                tracer.adopt(stitch_records(records, context)[0])
             with tracer.span("service.request"):
                 pass
         other = [_span("othertrace00", "x1", None, "service.request", 0.0, 1.0)]
@@ -398,5 +350,5 @@ class TestMultiTraceSummarize:
         validate_parentage(records)
         text = summarize_trace(records)
         assert "--- trace stitched0001: 4 span(s)" in text
-        assert "2 worker shard(s)" in text
+        assert "2 worker chunk(s)" in text
         assert "--- trace othertrace00: 1 span(s)" in text

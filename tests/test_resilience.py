@@ -64,6 +64,7 @@ from repro.resilience import (
     FaultPlan,
     ResilientExecutor,
     RetryPolicy,
+    WorkerPool,
     corrupt_cache_entry,
 )
 from repro.workloads.suite import get_profile
@@ -228,8 +229,12 @@ def test_transient_failure_is_retried_to_an_identical_result():
     baseline = [evaluate_chunk(c) for c in chunks]
     plan = FaultPlan(events=(FaultEvent("transient", chunk=1, attempt=0),))
     before = _counter("repro_engine_retries_total")
-    executor = ResilientExecutor(jobs=2, policy=FAST, fault_plan=plan)
-    results = executor.run(chunks)
+    pool = WorkerPool(2)
+    try:
+        executor = ResilientExecutor(policy=FAST, fault_plan=plan, pool=pool)
+        results = executor.run(chunks)
+    finally:
+        pool.close()
     assert _payloads(results) == _payloads(baseline)
     assert executor.report.retries == 1
     assert executor.report.pool_respawns == 0
@@ -240,8 +245,12 @@ def test_worker_crash_respawns_the_pool_and_requeues():
     chunks = _chunks(3)
     baseline = [evaluate_chunk(c) for c in chunks]
     plan = FaultPlan(events=(FaultEvent("crash", chunk=0, attempt=0),))
-    executor = ResilientExecutor(jobs=2, policy=FAST, fault_plan=plan)
-    results = executor.run(chunks)
+    pool = WorkerPool(2)
+    try:
+        executor = ResilientExecutor(policy=FAST, fault_plan=plan, pool=pool)
+        results = executor.run(chunks)
+    finally:
+        pool.close()
     assert _payloads(results) == _payloads(baseline)
     assert executor.report.pool_respawns >= 1
     assert not executor.report.serial_fallback
@@ -253,11 +262,15 @@ def test_hung_worker_is_timed_out_and_recovered():
     plan = FaultPlan(events=(FaultEvent("hang", chunk=0, attempt=0, hang_s=120.0),))
     policy = RetryPolicy(base_delay_s=0.001, timeout_s=TIMEOUT_S)
     before = _counter("repro_engine_chunk_timeouts_total")
-    executor = ResilientExecutor(jobs=2, policy=policy, fault_plan=plan)
-    start = time.perf_counter()
-    results = executor.run(chunks)
-    # recovery must not wait out the 120s hang: the pool gets killed
-    assert time.perf_counter() - start < 60.0
+    pool = WorkerPool(2)
+    try:
+        executor = ResilientExecutor(policy=policy, fault_plan=plan, pool=pool)
+        start = time.perf_counter()
+        results = executor.run(chunks)
+        # recovery must not wait out the 120s hang: the pool gets killed
+        assert time.perf_counter() - start < 60.0
+    finally:
+        pool.close()
     assert _payloads(results) == _payloads(baseline)
     assert executor.report.timeouts == 1
     assert executor.report.pool_respawns >= 1
@@ -269,8 +282,12 @@ def test_repeated_pool_deaths_degrade_to_serial():
     baseline = [evaluate_chunk(c) for c in chunks]
     plan = FaultPlan(events=(FaultEvent("crash", chunk=0, attempt=0),))
     policy = RetryPolicy(base_delay_s=0.001, max_pool_respawns=0)
-    executor = ResilientExecutor(jobs=2, policy=policy, fault_plan=plan)
-    results = executor.run(chunks)
+    pool = WorkerPool(2)
+    try:
+        executor = ResilientExecutor(policy=policy, fault_plan=plan, pool=pool)
+        results = executor.run(chunks)
+    finally:
+        pool.close()
     assert _payloads(results) == _payloads(baseline)
     assert executor.report.serial_fallback
 
@@ -282,8 +299,7 @@ def test_exhausted_transient_budget_escalates_to_fatal():
         )
     )
     executor = ResilientExecutor(
-        jobs=1, policy=RetryPolicy(max_attempts=2, base_delay_s=0.001),
-        fault_plan=plan,
+        policy=RetryPolicy(max_attempts=2, base_delay_s=0.001), fault_plan=plan
     )
     with pytest.raises(FatalError) as excinfo:
         executor.run(_chunks(1))
@@ -295,7 +311,7 @@ def test_exhausted_transient_budget_escalates_to_fatal():
 def test_deterministic_bugs_are_not_retried():
     from repro.engine.cells import SweepCell
 
-    executor = ResilientExecutor(jobs=1, policy=FAST)
+    executor = ResilientExecutor(policy=FAST)
     with pytest.raises(FatalError) as excinfo:
         executor.run([[SweepCell(kind="nope", spec={})]])
     assert "1 attempt(s)" in str(excinfo.value)  # no retry wasted
@@ -307,9 +323,7 @@ def test_serial_executor_retries_inline_with_backoff():
     baseline = [evaluate_chunk(c) for c in chunks]
     plan = FaultPlan(events=(FaultEvent("transient", chunk=1, attempt=0),))
     slept: list[float] = []
-    executor = ResilientExecutor(
-        jobs=1, policy=FAST, fault_plan=plan, sleep=slept.append
-    )
+    executor = ResilientExecutor(policy=FAST, fault_plan=plan, sleep=slept.append)
     results = executor.run(chunks)
     assert _payloads(results) == _payloads(baseline)
     assert executor.report.retries == 1
@@ -317,7 +331,7 @@ def test_serial_executor_retries_inline_with_backoff():
 
 
 def test_executor_handles_an_empty_batch():
-    assert ResilientExecutor(jobs=2).run([]) == []
+    assert ResilientExecutor().run([]) == []
 
 
 # ---------------------------------------------------------------------------
