@@ -189,6 +189,22 @@ def tpi_breakdown_from_payload(row: Mapping[str, Any]) -> TpiBreakdown:
     )
 
 
+def tpi_table_from_payload(payload: Mapping[str, Any]) -> dict[int, float]:
+    """Config -> TPI (ns) from one sweep-cell payload, sorted by config
+    (a JSON-loaded payload has its keys in string order: ``"112"`` first).
+
+    A ``queue_tpi`` row's TPI is its cycle time over its IPC; the other
+    TPI cells' rows carry theirs.
+    """
+    if "results" in payload:
+        rows = payload["results"]
+        table = {int(w): row["cycle_time_ns"] / row["ipc"] for w, row in rows.items()}
+    else:
+        rows = payload["breakdowns"]
+        table = {int(c): row["tpi_ns"] for c, row in rows.items()}
+    return dict(sorted(table.items()))
+
+
 # ---------------------------------------------------------------------------
 # per-process memos for expensive intermediates
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.cache.hierarchy import AccessLevel, TwoLevelExclusiveCache, Hierarchy
 from repro.cache.timing import CacheTimingModel, LatencyMode
 from repro.core.policies import IntervalAdaptivePolicy, PolicyOutcome, evaluate_policy
 from repro.core.predictor import ConfigurationPredictor
-from repro.engine.cells import cache_tpi_cell
+from repro.engine.cells import cache_tpi_cell, tpi_table_from_payload
 from repro.engine.engine import ExperimentEngine, default_engine
 from repro.experiments.cache_study import DEFAULT_N_REFS, DEFAULT_WARMUP_REFS
 from repro.experiments.interval_study import IntervalStudyResult
@@ -97,9 +97,7 @@ def _suite_tpis(
         ]
     )
     per_app = {
-        profile.name: {
-            int(k): row["tpi_ns"] for k, row in payload["breakdowns"].items()
-        }
+        profile.name: tpi_table_from_payload(payload)
         for profile, payload in zip(profiles, payloads)
     }
     conventional = min(

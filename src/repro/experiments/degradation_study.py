@@ -43,6 +43,7 @@ from repro.engine.cells import (
     cache_tpi_cell,
     queue_tpi_cell,
     tlb_tpi_cell,
+    tpi_table_from_payload,
 )
 from repro.engine.engine import ExperimentEngine
 from repro.errors import ConfigurationError
@@ -133,18 +134,6 @@ def _tpi_cells(
         ),
         "tlb": tlb_tpi_cell(stereo, n_refs, warmup_refs),
         "bpred": branch_tpi_cell(stereo, PredictorKind.GSHARE, n_branches),
-    }
-
-
-def _tpi_table(structure: str, payload: Mapping) -> dict[Hashable, float]:
-    """Config -> true TPI (ns) from one sweep-cell payload."""
-    if structure == "iqueue":
-        return {
-            int(w): row["cycle_time_ns"] / row["ipc"]
-            for w, row in payload["results"].items()
-        }
-    return {
-        int(cfg): row["tpi_ns"] for cfg, row in payload["breakdowns"].items()
     }
 
 
@@ -261,7 +250,7 @@ def degradation_study(
         noise_fractions=list(noise_fractions), seed=seed,
     ):
         for structure in order:
-            table = _tpi_table(structure, payloads[structure])
+            table = tpi_table_from_payload(payloads[structure])
             for fail_fraction in fail_fractions:
                 for noise_fraction in noise_fractions:
                     with obs.span(

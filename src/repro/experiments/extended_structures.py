@@ -21,12 +21,11 @@ that evaluation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from repro.api.query import run_queries
-from repro.api.types import OptimizationRequest
 from repro.branch.timing import BranchTimingModel
 from repro.branch.tpi import BranchTpiModel
 from repro.branch.workloads import BRANCH_FRACTION
@@ -35,15 +34,19 @@ from repro.cache.config import PAPER_GEOMETRY, PAPER_MAX_L1_INCREMENTS
 from repro.cache.timing import CacheTimingModel
 from repro.core.metrics import TpiComparison
 from repro.engine.cells import (
+    SweepCell,
     branch_tpi_cell,
     cached_tlb_histogram,
     queue_tpi_cell,
+    tlb_tpi_cell,
+    tpi_table_from_payload,
 )
 from repro.engine.engine import ExperimentEngine, default_engine
 from repro.experiments.cache_study import histogram_for
 from repro.ooo.timing import PAPER_QUEUE_SIZES, QueueTimingModel
 from repro.tlb.simulator import TlbDepthHistogram
 from repro.tlb.timing import TlbTimingModel
+from repro.workloads.profiles import BenchmarkProfile
 from repro.workloads.suite import cache_study_profiles
 
 #: TLB study trace sizes.
@@ -81,29 +84,21 @@ class StructureStudyResult:
     conventional_config: int
     best_configs: dict[str, int]
     tpi: TpiComparison
+    table: dict[str, dict[int, float]] = field(repr=False)
 
 
 def tlb_study(*, engine: ExperimentEngine | None = None) -> StructureStudyResult:
     """Process-level adaptive TLB fast-section sizing across the suite.
 
-    Routes through the public query API — one
-    :class:`~repro.api.OptimizationRequest` per application, batched
-    into a single engine ``map`` — so this harness answers exactly the
-    cells the sweep service answers.
+    Each application's cell is the one :func:`repro.api.request_cell`
+    builds for a default ``tlb`` request, so the sweep service answers
+    from the same result-cache entries.
+    ``tests/test_api.py::TestHarnessAgreement`` holds every table entry
+    to the API's ``tpi_ns``.
     """
-    profiles = cache_study_profiles()
-    requests = [
-        OptimizationRequest(
-            "tlb", profile.name, n_refs=TLB_N_REFS, warmup_refs=TLB_WARMUP
-        )
-        for profile in profiles
-    ]
-    results = run_queries(requests, engine=engine)
-    table = {
-        profile.name: {point.config: point.tpi_ns for point in result.sweep}
-        for profile, result in zip(profiles, results)
-    }
-    return _summarise("tlb", table)
+    return _summarise(
+        "tlb", lambda profile: tlb_tpi_cell(profile, TLB_N_REFS, TLB_WARMUP), engine
+    )
 
 
 def branch_study(
@@ -113,24 +108,29 @@ def branch_study(
 ) -> StructureStudyResult:
     """Process-level adaptive predictor-table sizing across the suite.
 
-    Routes through the public query API like :func:`tlb_study`.
+    Reads its table like :func:`tlb_study`, from the cells of default
+    ``bpred`` requests for ``kind``.
     """
+    return _summarise(
+        f"bpred-{kind.value}",
+        lambda profile: branch_tpi_cell(profile, kind, BRANCH_N),
+        engine,
+    )
+
+
+def _summarise(
+    structure: str,
+    cell_for: Callable[[BenchmarkProfile], SweepCell],
+    engine: ExperimentEngine | None,
+) -> StructureStudyResult:
+    """Compare sizings over one ``map`` of each cache-study app's cell."""
+    eng = engine if engine is not None else default_engine()
     profiles = cache_study_profiles()
-    requests = [
-        OptimizationRequest(
-            "bpred", profile.name, predictor=kind.value, n_branches=BRANCH_N
-        )
-        for profile in profiles
-    ]
-    results = run_queries(requests, engine=engine)
+    payloads = eng.map([cell_for(profile) for profile in profiles])
     table = {
-        profile.name: {point.config: point.tpi_ns for point in result.sweep}
-        for profile, result in zip(profiles, results)
+        profile.name: tpi_table_from_payload(payload)
+        for profile, payload in zip(profiles, payloads)
     }
-    return _summarise(f"bpred-{kind.value}", table)
-
-
-def _summarise(structure: str, table: dict[str, dict[int, float]]) -> StructureStudyResult:
     apps = list(table)
     configs = sorted(next(iter(table.values())))
     conventional = min(
@@ -147,6 +147,7 @@ def _summarise(structure: str, table: dict[str, dict[int, float]]) -> StructureS
         conventional_config=conventional,
         best_configs=best,
         tpi=comparison,
+        table=table,
     )
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.metrics import TpiComparison
-from repro.engine.cells import queue_tpi_cell
+from repro.engine.cells import queue_tpi_cell, tpi_table_from_payload
 from repro.engine.engine import ExperimentEngine, default_engine
-from repro.ooo.timing import QueueTimingModel
+from repro.ooo.timing import PAPER_QUEUE_SIZES, QueueTimingModel
 from repro.workloads.suite import queue_study_profiles
 
 #: Default measured trace length (instructions per application).
@@ -33,45 +33,32 @@ def queue_tpi_table(
     *,
     engine: ExperimentEngine | None = None,
 ) -> dict[str, dict[int, float]]:
-    """TPI per application per queue size.
+    """TPI per application per queue size, from one engine ``map``.
 
-    The default-timing path routes through the public query API (one
-    :class:`~repro.api.OptimizationRequest` per application, batched
-    into a single engine ``map``); a custom ``timing`` model keeps the
-    raw-cell path, applying its cycle table to the simulated IPCs
-    locally so it still rides the parallel/cached engine.
+    With the default timing each application's cell is the one
+    :func:`repro.api.request_cell` builds for an ``iqueue`` request of
+    ``n_instructions``, so the sweep service answers from the same
+    result-cache entries, and a row's TPI is its ``cycle_time_ns / ipc``,
+    sorted by size.  A custom ``timing`` simulates its own sizes and
+    divides its cycle table by their IPCs, in ``timing.sizes`` order.
+    ``tests/test_api.py::TestHarnessAgreement`` holds the default table
+    to the API's ``tpi_ns``, cold and warm.
     """
     profiles = queue_study_profiles()
-    if timing is None:
-        from repro.api.query import run_queries
-        from repro.api.types import OptimizationRequest
-
-        requests = [
-            OptimizationRequest(
-                "iqueue", profile.name, n_instructions=n_instructions
-            )
-            for profile in profiles
-        ]
-        results = run_queries(requests, engine=engine)
-        return {
-            profile.name: {
-                point.config: point.tpi_ns for point in result.sweep
-            }
-            for profile, result in zip(profiles, results)
-        }
-    cycles = timing.cycle_table()
+    sizes = PAPER_QUEUE_SIZES if timing is None else timing.sizes
     eng = engine if engine is not None else default_engine()
-    cells = [
-        queue_tpi_cell(profile, n_instructions, timing.sizes)
-        for profile in profiles
-    ]
-    payloads = eng.map(cells)
-    return {
-        profile.name: {
-            w: cycles[w] / payload["results"][str(w)]["ipc"] for w in timing.sizes
-        }
-        for profile, payload in zip(profiles, payloads)
-    }
+    payloads = eng.map(
+        [queue_tpi_cell(profile, n_instructions, sizes) for profile in profiles]
+    )
+    if timing is None:
+        tables = [tpi_table_from_payload(payload) for payload in payloads]
+    else:
+        cycles = timing.cycle_table()
+        tables = [
+            {w: cycles[w] / payload["results"][str(w)]["ipc"] for w in sizes}
+            for payload in payloads
+        ]
+    return {profile.name: table for profile, table in zip(profiles, tables)}
 
 
 def figure10(

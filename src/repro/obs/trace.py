@@ -382,9 +382,14 @@ def scoped_trace(
 
 def span(name: str, level: str = "section", **attrs: Any) -> Span | _NullSpan:
     """Open a span on the active tracer (no-op when tracing is off)."""
-    return _CURRENT.span(name, level=level, **attrs)
+    tracer = _CURRENT  # off, skip re-packing ``**attrs`` for the null tracer
+    if tracer is NULL_TRACER:
+        return _NULL_SPAN
+    return tracer.span(name, level=level, **attrs)
 
 
 def event(name: str, **attrs: Any) -> None:
     """Emit an event on the active tracer (no-op when tracing is off)."""
-    _CURRENT.event(name, **attrs)
+    tracer = _CURRENT
+    if tracer is not NULL_TRACER:
+        tracer.event(name, **attrs)

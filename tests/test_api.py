@@ -1,9 +1,11 @@
 """The public query facade: repro.api types and execution.
 
-Everything the CLI, the figure harnesses and the sweep service share:
-strictly validated frozen request/result dataclasses with JSON round
-trips, and ``run_query``/``run_queries`` routing through the experiment
-engine (one batched ``map`` per call).
+What the CLI and the sweep service share: strictly validated frozen
+request/result dataclasses with JSON round trips, and
+``run_query``/``run_queries`` routing through the experiment engine
+(one batched ``map`` per call).  The figure harnesses read their TPI
+tables straight from cell payloads; ``TestHarnessAgreement`` holds
+them to the API's cells and ``tpi_ns``.
 """
 
 import json
@@ -21,8 +23,11 @@ from repro.api import (
     run_queries,
     run_query,
 )
+from repro.engine.cache import CellKeyer
 from repro.engine.engine import ExperimentEngine
 from repro.errors import ApiError
+from repro.experiments.extended_structures import branch_study, tlb_study
+from repro.experiments.queue_study import queue_tpi_table
 
 # Small sizings keep every engine evaluation in this module fast.
 N_REFS = 3_000
@@ -180,3 +185,48 @@ class TestJobStatus:
         assert JobState.FAILED.is_terminal()
         assert not JobState.QUEUED.is_terminal()
         assert not JobState.RUNNING.is_terminal()
+
+
+class _RecordingEngine(ExperimentEngine):
+    """An engine that keeps the cells of its last ``map``."""
+
+    def map(self, cells, deadline_s=None):
+        self.mapped = list(cells)
+        return super().map(self.mapped, deadline_s)
+
+
+#: structure -> its batch harness's table, at the harness's own sizing.
+HARNESS_TABLES = {
+    "iqueue": lambda engine: queue_tpi_table(engine=engine),
+    "tlb": lambda engine: tlb_study(engine=engine).table,
+    "bpred": lambda engine: branch_study(engine=engine).table,
+}
+
+
+class TestHarnessAgreement:
+    """Batch harnesses and the API: the same cells, the same TPI floats.
+
+    The harnesses read payloads without building API results, so this
+    is what keeps their result-cache entries shared with ``repro serve``
+    and their tables equal to what ``repro query`` answers.
+    """
+
+    @pytest.mark.parametrize("structure", sorted(HARNESS_TABLES))
+    def test_harness_table_is_the_api_sweep(self, structure, tmp_path):
+        keyer = CellKeyer()
+        for run in ("cold", "warm"):
+            engine = _RecordingEngine(cache_dir=tmp_path)
+            table = HARNESS_TABLES[structure](engine)
+            computed = len(table) if run == "cold" else 0
+            assert engine.stats.cache_misses == computed, run
+            requests = [OptimizationRequest(structure, app) for app in table]
+            assert [keyer.key(cell) for cell in engine.mapped] == [
+                keyer.key(request_cell(request)) for request in requests
+            ], run
+            api = ExperimentEngine(cache_dir=tmp_path)
+            results = run_queries(requests, engine=api)
+            assert api.stats.cache_misses == 0, run
+            for request, result in zip(requests, results):
+                assert list(table[request.workload].items()) == [
+                    (point.config, point.tpi_ns) for point in result.sweep
+                ], (run, request.workload)

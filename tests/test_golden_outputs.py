@@ -4,7 +4,8 @@ The SHA-256 of the stdout of every result command and of every file
 ``repro export all`` writes is committed below.  The commands run in
 this one process with no result cache; Figures 9 and 11 run again at
 ``--jobs 2``, so the pooled engine path is held to the same bytes as
-the inline one.
+the inline one, and the queue, TLB and predictor studies run twice on
+one result cache, so payloads read back from disk are held to them too.
 
 An intended change of results updates these tables in the same change
 and says why in CHANGES.md.  On a mismatch the failure lists every
@@ -63,13 +64,16 @@ EXPORT_DIGESTS = {
 #: Commands re-run through a two-worker process pool.
 POOLED = ("figure 9", "figure 11")
 
+#: Commands re-run on a result cache: once filling it, once reading it.
+CACHED = ("figure 10", "figure 11", "extension tlb", "extension bpred")
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _stdout_digest(capsys, command: str) -> str:
-    assert main(command.split()) == 0, command
+def _stdout_digest(capsys, command: str, *options: str) -> str:
+    assert main([*command.split(), *options]) == 0, command
     return _sha256(capsys.readouterr().out.encode("utf-8"))
 
 
@@ -104,3 +108,13 @@ def test_pooled_figures_match_inline(capsys):
     }
     changed = _changed(STDOUT_DIGESTS, actual)
     assert not changed, f"--jobs 2 stdout changed; new digests:\n{changed}"
+
+
+def test_cached_figures_match_uncached(capsys, tmp_path):
+    for run in ("cold", "warm"):
+        actual = {
+            command: _stdout_digest(capsys, command, "--cache-dir", str(tmp_path))
+            for command in CACHED
+        }
+        changed = _changed(STDOUT_DIGESTS, actual)
+        assert not changed, f"{run} --cache-dir stdout changed; new digests:\n{changed}"
